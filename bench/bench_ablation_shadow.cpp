@@ -4,8 +4,9 @@
 // as the design choice QUAD's cost hinges on. This bench measures, with
 // google-benchmark, the mark/lookup throughput for the access patterns the
 // wfs kernels actually exhibit — sequential streaming (wav_store), strided
-// scatter (AudioIo frames), small hot working set (fft1d) — plus the
-// memory footprint of the shadow pages and UnMA bitmaps each pattern costs.
+// scatter (AudioIo frames), small hot working set (fft1d), stack and global
+// accesses interleaved (every kernel) — plus the memory footprint of the
+// shadow pages and UnMA bitmaps each pattern costs.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -79,6 +80,59 @@ void BM_AddressSetInsert(benchmark::State& state) {
       static_cast<double>(set.resident_pages());
 }
 BENCHMARK(BM_AddressSetInsert)->Arg(0)->Arg(1);
+
+// Stack and global accesses alternating between two pages, the pattern of
+// almost every wfs kernel: a one-entry "last page" cache misses on every
+// access here, while the page lookaside keeps both pages. Informational.
+constexpr std::uint64_t kStackPage = 0x7fff'ffff'e000;
+
+void BM_ShadowMarkInterleaved(benchmark::State& state) {
+  quad::ShadowMemory shadow;
+  SplitMix64 rng(5);
+  std::uint64_t i = rng.next_below(64);
+  for (auto _ : state) {
+    const std::uint64_t offset = (i * 8) & 4095;
+    shadow.mark_write(kStackPage + offset, 8, 1);
+    shadow.mark_write(kBase + offset, 8, 2);
+    ++i;
+  }
+  benchmark::DoNotOptimize(shadow.resident_pages());
+}
+BENCHMARK(BM_ShadowMarkInterleaved);
+
+void BM_ShadowVisitInterleaved(benchmark::State& state) {
+  quad::ShadowMemory shadow;
+  shadow.mark_write(kStackPage, 4096, 1);
+  shadow.mark_write(kBase, 4096, 2);
+  SplitMix64 rng(6);
+  std::uint64_t i = rng.next_below(64);
+  std::uint64_t sum = 0;
+  const auto visit = [&](quad::ProducerId p, std::uint32_t len) {
+    sum += static_cast<std::uint64_t>(p) * len;
+  };
+  for (auto _ : state) {
+    const std::uint64_t offset = (i * 8) & 4095;
+    shadow.for_each_producer(kStackPage + offset, 8, visit);
+    shadow.for_each_producer(kBase + offset, 8, visit);
+    ++i;
+  }
+  benchmark::DoNotOptimize(sum);
+}
+BENCHMARK(BM_ShadowVisitInterleaved);
+
+void BM_AddressSetInsertInterleaved(benchmark::State& state) {
+  AddressSet set;
+  SplitMix64 rng(7);
+  std::uint64_t i = rng.next_below(64);
+  for (auto _ : state) {
+    const std::uint64_t offset = (i * 8) & 4095;
+    set.insert_range(kStackPage + offset, 8);
+    set.insert_range(kBase + offset, 8);
+    ++i;
+  }
+  benchmark::DoNotOptimize(set.count());
+}
+BENCHMARK(BM_AddressSetInsertInterleaved);
 
 void print_footprints() {
   std::printf("\n== shadow footprint per access pattern (16 MiB address span) ==\n");

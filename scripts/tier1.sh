@@ -21,15 +21,19 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    sanitizers too, and the engine differential suite runs the compiled
 #    (fused-op) engine against the reference interpreter — including the
 #    trap-at-N prefix contract — with ASan watching the lowered arrays.
+#    The QUAD and AddressSet suites run here because their page lookasides
+#    cache raw page pointers in front of the page maps: a pointer left stale
+#    by a move, clear, merge or shard fold is a use-after-free ASan reports.
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_trace test_trace_v2_codec test_trace_offline_differential \
     test_fuzz_decoders test_trace_salvage test_fault_injection \
     test_session test_session_differential test_session_replay \
     test_session_pipeline \
-    test_support_metrics test_workload_zoo test_engine_differential
+    test_support_metrics test_workload_zoo test_engine_differential \
+    test_quad_shadow test_quad_tool test_quad_buffers test_support_address_set
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_quad_shadow|test_quad_tool|test_quad_buffers|test_support_address_set)$'
 
 # 2b. Forced-adaptive stress under ASan: replay the whole pipeline parity
 #     suite with the batch controller pinned to its most allocation-churny

@@ -77,7 +77,7 @@ void QuadTool::account_read(AddressState& state, std::uint32_t reader,
         if (producer != kNoProducer) {
           state.incl[producer].out_bytes += run;
           if (!stack_area) state.excl[producer].out_bytes += run;
-          auto& edge = state.bindings[{producer, reader}];
+          BindingAccum& edge = state.edge(producer, reader);
           edge.bytes += run;
           edge.unma.insert_range(cursor, run);
         }
@@ -215,6 +215,7 @@ void QuadTool::merge_shards() {
     }
   }
   shards_.clear();
+  state_.edge_cache.reset();
 }
 
 std::vector<Binding> QuadTool::bindings() const {
@@ -256,16 +257,25 @@ void QuadTool::publish_metrics(metrics::Registry& registry) const {
   registry.set_gauge("quad.shadow.pages", state_.shadow.resident_pages());
   registry.set_gauge("quad.shadow.bytes", state_.shadow.resident_bytes());
   std::uint64_t in_incl = 0, out_incl = 0, in_excl = 0, out_excl = 0;
+  std::uint64_t bitmap_bytes = 0;
   for (std::size_t k = 0; k < state_.incl.size(); ++k) {
     in_incl += state_.incl[k].in_unma.count();
     out_incl += state_.incl[k].out_unma.count();
     in_excl += state_.excl[k].in_unma.count();
     out_excl += state_.excl[k].out_unma.count();
+    bitmap_bytes += state_.incl[k].in_unma.resident_bytes() +
+                    state_.incl[k].out_unma.resident_bytes() +
+                    state_.excl[k].in_unma.resident_bytes() +
+                    state_.excl[k].out_unma.resident_bytes();
+  }
+  for (const auto& [key, accum] : state_.bindings) {
+    bitmap_bytes += accum.unma.resident_bytes();
   }
   registry.set_gauge("quad.unma.in_incl", in_incl);
   registry.set_gauge("quad.unma.out_incl", out_incl);
   registry.set_gauge("quad.unma.in_excl", in_excl);
   registry.set_gauge("quad.unma.out_excl", out_excl);
+  registry.set_gauge("quad.unma.bitmap_bytes", bitmap_bytes);
   registry.set_gauge("quad.bindings", bindings().size());
 }
 

@@ -210,12 +210,30 @@ class QuadTool : public session::AnalysisConsumer,
     std::vector<std::uint64_t> global_accesses;
     std::vector<std::uint64_t> global_bytes;
     std::map<std::pair<std::uint32_t, std::uint32_t>, BindingAccum> bindings;
+    /// Recently used edges. A reader alternates between a few producers
+    /// (its caller's stack bytes, the buffers it streams), so the cache is
+    /// keyed with the producer in the low bits. Map nodes never move, so a
+    /// cached edge stays valid until the map itself is folded away
+    /// (merge_shards drops the cache).
+    PageLookaside<BindingAccum> edge_cache;
 
     void init(std::size_t kernels) {
       incl.resize(kernels);
       excl.resize(kernels);
       global_accesses.assign(kernels, 0);
       global_bytes.assign(kernels, 0);
+    }
+
+    BindingAccum& edge(std::uint32_t producer, std::uint32_t consumer) {
+      // Producer ids are 16-bit and never kNoProducer here, so the key
+      // never equals the lookaside's empty tag.
+      const std::uint64_t key = (std::uint64_t{consumer} << 32) | producer;
+      BindingAccum* cached = edge_cache.find(key);
+      if (cached == nullptr) {
+        cached = &bindings[{producer, consumer}];
+        edge_cache.remember(key, cached);
+      }
+      return *cached;
     }
   };
 

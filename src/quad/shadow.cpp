@@ -7,16 +7,18 @@
 namespace tq::quad {
 
 ShadowMemory::Page& ShadowMemory::touch_page(std::uint64_t page_no) {
+  if (Page* cached = lookaside_.find(page_no)) return *cached;
   auto& slot = pages_[page_no];
   if (!slot) {
     slot = std::make_unique<Page>();
     std::fill(std::begin(slot->producers), std::end(slot->producers), kNoProducer);
   }
+  lookaside_.remember(page_no, slot.get());
   return *slot;
 }
 
-void ShadowMemory::mark_write(std::uint64_t addr, std::uint32_t size,
-                              ProducerId producer) {
+void ShadowMemory::mark_write_general(std::uint64_t addr, std::uint32_t size,
+                                      ProducerId producer) {
   std::uint64_t cursor = addr;
   std::uint64_t remaining = size;
   while (remaining > 0) {
@@ -36,6 +38,7 @@ void ShadowMemory::adopt_disjoint(ShadowMemory&& other) {
     TQUAD_CHECK(inserted, "shadow shards overlap: page owned by two shards");
   }
   other.pages_.clear();
+  other.lookaside_.reset();
 }
 
 ProducerId ShadowMemory::producer_of(std::uint64_t addr) const noexcept {

@@ -5,13 +5,18 @@
 //
 // Layout mirrors PagedMemory: a hash map of 4 KiB pages, each holding one
 // 16-bit producer id per byte. Pages materialise on first write; reads of
-// unwritten memory report kNoProducer.
+// unwritten memory report kNoProducer. A PageLookaside in front of the map
+// keeps the recently used pages, so a mark or visit that stays inside one
+// cached page runs inline without a hash lookup; anything else (a page miss,
+// a page-straddling range) takes the general loop.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 
+#include "support/page_lookaside.hpp"
 #include "support/paged_memory.hpp"
 
 namespace tq::quad {
@@ -32,7 +37,16 @@ class ShadowMemory {
   ShadowMemory& operator=(const ShadowMemory&) = delete;
 
   /// Record `producer` as the last writer of [addr, addr+size).
-  void mark_write(std::uint64_t addr, std::uint32_t size, ProducerId producer);
+  void mark_write(std::uint64_t addr, std::uint32_t size, ProducerId producer) {
+    const std::uint64_t offset = addr & (kPageSize - 1);
+    if (offset + size <= kPageSize) {
+      if (Page* page = lookaside_.find(addr >> kPageBits)) {
+        std::fill_n(page->producers + offset, size, producer);
+        return;
+      }
+    }
+    mark_write_general(addr, size, producer);
+  }
 
   /// Producer of one byte (kNoProducer when never written).
   ProducerId producer_of(std::uint64_t addr) const noexcept;
@@ -44,13 +58,15 @@ class ShadowMemory {
   void adopt_disjoint(ShadowMemory&& other);
 
   /// Visit the producer of every byte in [addr, addr+size):
-  /// `visit(producer, run_length)` is called per maximal same-producer run.
+  /// `visit(producer, run_length)` is called per maximal same-producer run
+  /// within a page. Not const: a page found in the map is remembered in the
+  /// lookaside, so concurrent visits of one shadow are not allowed.
   template <typename Visit>
-  void for_each_producer(std::uint64_t addr, std::uint32_t size, Visit&& visit) const {
+  void for_each_producer(std::uint64_t addr, std::uint32_t size, Visit&& visit) {
     std::uint64_t cursor = addr;
     std::uint64_t remaining = size;
     while (remaining > 0) {
-      const Page* page = find_page(cursor >> kPageBits);
+      const Page* page = lookup_page(cursor >> kPageBits);
       const std::uint64_t offset = cursor & (kPageSize - 1);
       const std::uint64_t in_page = std::min<std::uint64_t>(remaining, kPageSize - offset);
       if (page == nullptr) {
@@ -87,9 +103,20 @@ class ShadowMemory {
     auto it = pages_.find(page_no);
     return it == pages_.end() ? nullptr : it->second.get();
   }
+  /// find_page through the lookaside; a resident page found in the map is
+  /// remembered, an absent one is not (adopt_disjoint may add it later).
+  const Page* lookup_page(std::uint64_t page_no) {
+    if (const Page* cached = lookaside_.find(page_no)) return cached;
+    auto it = pages_.find(page_no);
+    if (it == pages_.end()) return nullptr;
+    lookaside_.remember(page_no, it->second.get());
+    return it->second.get();
+  }
   Page& touch_page(std::uint64_t page_no);
+  void mark_write_general(std::uint64_t addr, std::uint32_t size, ProducerId producer);
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+  PageLookaside<Page> lookaside_;
 };
 
 }  // namespace tq::quad

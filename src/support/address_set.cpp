@@ -5,12 +5,14 @@
 namespace tq {
 
 AddressSet::Bitmap& AddressSet::touch(std::uint64_t page_no) {
+  if (Bitmap* cached = lookaside_.find(page_no)) return *cached;
   auto& slot = pages_[page_no];
   if (!slot) slot = std::make_unique<Bitmap>();
+  lookaside_.remember(page_no, slot.get());
   return *slot;
 }
 
-void AddressSet::insert_range(std::uint64_t addr, std::uint32_t size) {
+void AddressSet::insert_range_general(std::uint64_t addr, std::uint32_t size) {
   std::uint64_t remaining = size;
   while (remaining > 0) {
     const std::uint64_t page_no = addr >> kPageBits;
@@ -26,11 +28,7 @@ void AddressSet::insert_range(std::uint64_t addr, std::uint32_t size) {
       const std::uint64_t span = std::min<std::uint64_t>(left, 64 - bit_in_word);
       const std::uint64_t mask =
           span == 64 ? ~0ull : (((1ull << span) - 1) << bit_in_word);
-      const std::uint64_t before = bm.words[word_idx];
-      const std::uint64_t after = before | mask;
-      population_ += static_cast<std::uint64_t>(std::popcount(after) -
-                                                std::popcount(before));
-      bm.words[word_idx] = after;
+      add_fresh(bm.words[word_idx], mask, span);
       bit += span;
       left -= span;
     }

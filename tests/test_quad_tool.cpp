@@ -1,10 +1,15 @@
 // QUAD producer/consumer semantics on programs with exactly known dataflow.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <tuple>
+
 #include "gasm/builder.hpp"
 #include "minipin/minipin.hpp"
 #include "quad/instrumented_profile.hpp"
 #include "quad/quad_tool.hpp"
+#include "support/rng.hpp"
 
 namespace tq::quad {
 namespace {
@@ -294,6 +299,253 @@ TEST(QuadTool, QduDotCarriesEdgeAnnotations) {
   EXPECT_NE(dot.find(" B / "), std::string::npos);
   EXPECT_NE(dot.find("addr"), std::string::npos);
 }
+
+// ---- randomized differential against a naive reference model -----------------
+// The reference keeps the shadow as a byte map and every UnMA set as a
+// std::set, so it shares no code with the paged bitmaps, the page lookaside
+// or the binding-edge cache it checks.
+
+constexpr std::uint32_t kKernels = 6;
+
+vm::Program make_kernels_program() {
+  ProgramBuilder prog;
+  for (std::uint32_t k = 0; k < kKernels; ++k) {
+    prog.begin_function("k" + std::to_string(k)).ret();
+  }
+  auto& main_fn = prog.begin_function("main");
+  main_fn.halt();
+  return prog.build("main");
+}
+
+struct ReferenceQuad {
+  struct Counters {
+    std::uint64_t in_bytes = 0;
+    std::uint64_t out_bytes = 0;
+    std::set<std::uint64_t> in_unma;
+    std::set<std::uint64_t> out_unma;
+  };
+  struct Edge {
+    std::uint64_t bytes = 0;
+    std::set<std::uint64_t> unma;
+  };
+
+  explicit ReferenceQuad(std::size_t kernels)
+      : incl(kernels), excl(kernels), global_accesses(kernels),
+        global_bytes(kernels), instrs(kernels), mem_refs(kernels) {}
+
+  void access(const session::AccessEvent& e) {
+    if (e.is_prefetch || e.kernel == tquad::kNoKernel) return;
+    const std::uint32_t k = e.kernel;
+    if (!e.is_stack) {
+      ++global_accesses[k];
+      global_bytes[k] += e.size;
+    }
+    if (e.is_read) {
+      incl[k].in_bytes += e.size;
+      if (!e.is_stack) excl[k].in_bytes += e.size;
+    }
+    for (std::uint64_t a = e.ea; a < e.ea + e.size; ++a) {
+      if (e.is_read) {
+        incl[k].in_unma.insert(a);
+        if (!e.is_stack) excl[k].in_unma.insert(a);
+        auto it = shadow.find(a);
+        if (it == shadow.end()) continue;
+        const std::uint32_t producer = it->second;
+        ++incl[producer].out_bytes;
+        if (!e.is_stack) ++excl[producer].out_bytes;
+        Edge& edge = bindings[{producer, k}];
+        ++edge.bytes;
+        edge.unma.insert(a);
+      } else {
+        incl[k].out_unma.insert(a);
+        if (!e.is_stack) excl[k].out_unma.insert(a);
+        shadow[a] = k;
+      }
+    }
+  }
+
+  void tick_run(const session::TickRunEvent& run) {
+    instrs[run.kernel] += run.count;
+    mem_refs[run.kernel] += run.mem_count;
+  }
+
+  std::uint64_t instrumented_cost(std::uint32_t k, const CostModel& model) const {
+    const std::uint64_t working_set = excl[k].in_unma.size() + excl[k].out_unma.size();
+    const double scale = working_set <= model.hot_set_bytes ? model.hot_discount : 1.0;
+    const double trace =
+        scale * (static_cast<double>(global_accesses[k] * model.per_global_trace) +
+                 static_cast<double>(global_bytes[k] * model.per_global_byte));
+    return instrs[k] * model.per_instruction + mem_refs[k] * model.per_memory_stub +
+           static_cast<std::uint64_t>(trace);
+  }
+
+  std::map<std::uint64_t, std::uint32_t> shadow;
+  std::vector<Counters> incl;
+  std::vector<Counters> excl;
+  std::vector<std::uint64_t> global_accesses;
+  std::vector<std::uint64_t> global_bytes;
+  std::vector<std::uint64_t> instrs;
+  std::vector<std::uint64_t> mem_refs;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, Edge> bindings;
+};
+
+/// A seeded access stream in the shape of a real run: a stack region and a
+/// global region a few pages wide, accessed alternately; sizes 1-16 with a
+/// few page-sized ranges; offsets pulled towards 64-byte words and page
+/// ends so ranges straddle both; the odd prefetch and unattributed access.
+/// Some global accesses go to pages that all share one lookaside slot, so
+/// the caches also evict.
+std::vector<session::AccessEvent> random_stream(std::uint64_t seed, int count) {
+  constexpr std::uint64_t kPage = AddressSet::kPageSize;
+  constexpr std::uint64_t kGlobalBase = 0x10'0000;
+  constexpr std::uint64_t kStackBase = 0x7fff'0000'0000 - 3 * kPage;
+  constexpr std::uint64_t kAliasStride = PageLookaside<int>::kSlots;
+  SplitMix64 rng(seed);
+  std::vector<session::AccessEvent> events;
+  std::uint32_t kernel = 0;
+  for (int i = 0; i < count; ++i) {
+    if (rng.next_below(16) == 0) kernel = static_cast<std::uint32_t>(rng.next_below(kKernels));
+    session::AccessEvent e;
+    e.kernel = rng.next_below(64) == 0 ? tquad::kNoKernel : kernel;
+    e.func = e.kernel == tquad::kNoKernel ? 0 : e.kernel;
+    e.is_stack = (i % 2 == 0) != (rng.next_below(8) == 0);
+    e.is_read = rng.next_below(2) == 0;
+    e.is_prefetch = e.is_read && rng.next_below(32) == 0;
+    const std::uint64_t pages = e.is_stack ? 3 : 5;
+    std::uint64_t offset = rng.next_below(pages * kPage);
+    if (!e.is_stack && rng.next_below(4) == 0) {
+      offset = (8 + kAliasStride * rng.next_below(6)) * kPage + rng.next_below(kPage);
+    }
+    switch (rng.next_below(4)) {
+      case 0: offset |= 63; offset -= rng.next_below(8); break;  // word end
+      case 1: offset |= kPage - 1; offset -= rng.next_below(12); break;  // page end
+      default: break;
+    }
+    e.size = rng.next_below(160) == 0
+                 ? static_cast<std::uint32_t>(kPage + rng.next_below(2) * rng.next_below(64))
+                 : 1 + static_cast<std::uint32_t>(rng.next_below(16));
+    e.ea = (e.is_stack ? kStackBase : kGlobalBase) + offset;
+    events.push_back(e);
+  }
+  return events;
+}
+
+std::vector<session::TickRunEvent> random_tick_runs(std::uint64_t seed) {
+  SplitMix64 rng(seed ^ 0x5eed);
+  std::vector<session::TickRunEvent> runs;
+  for (int i = 0; i < 40; ++i) {
+    session::TickRunEvent run;
+    run.kernel = static_cast<std::uint32_t>(rng.next_below(kKernels));
+    run.func = run.kernel;
+    run.count = 1 + rng.next_below(5000);
+    run.mem_count = rng.next_below(run.count + 1);
+    runs.push_back(run);
+  }
+  return runs;
+}
+
+void expect_same_set(const AddressSet& got, const std::set<std::uint64_t>& want,
+                     const char* what, std::uint32_t kernel) {
+  ASSERT_EQ(got.count(), want.size()) << what << " kernel " << kernel;
+  for (std::uint64_t a : want) {
+    if (!got.contains(a)) {
+      ADD_FAILURE() << what << " kernel " << kernel << " lacks " << a;
+      return;
+    }
+  }
+}
+
+void expect_matches_reference(const QuadTool& tool, const ReferenceQuad& ref) {
+  for (std::uint32_t k = 0; k < kKernels; ++k) {
+    for (int stack = 0; stack < 2; ++stack) {
+      const KernelCounters& got = stack ? tool.including_stack(k) : tool.excluding_stack(k);
+      const ReferenceQuad::Counters& want = stack ? ref.incl[k] : ref.excl[k];
+      EXPECT_EQ(got.in_bytes, want.in_bytes) << "kernel " << k << " stack " << stack;
+      EXPECT_EQ(got.out_bytes, want.out_bytes) << "kernel " << k << " stack " << stack;
+      expect_same_set(got.in_unma, want.in_unma, stack ? "in incl" : "in excl", k);
+      expect_same_set(got.out_unma, want.out_unma, stack ? "out incl" : "out excl", k);
+    }
+    const CostModel model;
+    EXPECT_EQ(tool.instrumented_cost(k, model), ref.instrumented_cost(k, model)) << k;
+    CostModel cold = model;
+    cold.hot_set_bytes = 0;
+    EXPECT_EQ(tool.instrumented_cost(k, cold), ref.instrumented_cost(k, cold)) << k;
+  }
+  using EdgeRow = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t, std::uint64_t>;
+  std::set<EdgeRow> got_edges;
+  for (const Binding& b : tool.bindings()) {
+    got_edges.insert({b.producer, b.consumer, b.bytes, b.unma});
+    EXPECT_EQ(tool.binding_bytes(b.producer, b.consumer), b.bytes);
+  }
+  std::set<EdgeRow> want_edges;
+  for (const auto& [key, edge] : ref.bindings) {
+    want_edges.insert({key.first, key.second, edge.bytes, edge.unma.size()});
+  }
+  EXPECT_EQ(got_edges, want_edges);
+  EXPECT_FALSE(want_edges.empty());
+}
+
+class QuadToolDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(QuadToolDifferential, SerialMatchesReference) {
+  const vm::Program program = make_kernels_program();
+  QuadTool tool(program);
+  ReferenceQuad ref(tool.kernel_count());
+  for (const auto& e : random_stream(GetParam(), 4000)) {
+    tool.on_access(e);
+    ref.access(e);
+  }
+  for (const auto& run : random_tick_runs(GetParam())) {
+    tool.on_tick_run(run);
+    ref.tick_run(run);
+  }
+  expect_matches_reference(tool, ref);
+}
+
+TEST_P(QuadToolDifferential, ShardedMatchesReference) {
+  const vm::Program program = make_kernels_program();
+  for (unsigned shards : {2u, 3u}) {
+    QuadTool tool(program);
+    ReferenceQuad ref(tool.kernel_count());
+    tool.prepare_shards(shards);
+    for (const auto& e : random_stream(GetParam(), 4000)) {
+      ref.access(e);
+      // The pipeline router's contract: per-page pieces, routed by page
+      // number, count_access on the first piece only.
+      std::uint64_t cursor = e.ea;
+      std::uint32_t remaining = e.size;
+      bool first = true;
+      while (remaining > 0) {
+        const std::uint64_t page_end =
+            ((cursor >> AddressSet::kPageBits) + 1) << AddressSet::kPageBits;
+        session::AccessEvent piece = e;
+        piece.ea = cursor;
+        piece.size = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(remaining, page_end - cursor));
+        tool.apply_access_shard(
+            static_cast<unsigned>((cursor >> AddressSet::kPageBits) % shards), piece, first);
+        first = false;
+        cursor += piece.size;
+        remaining -= piece.size;
+      }
+    }
+    tool.merge_shards();
+    for (const auto& run : random_tick_runs(GetParam())) {
+      tool.on_tick_run(run);
+      ref.tick_run(run);
+    }
+    // Accesses after the fold land in the merged state (and must not reach
+    // the folded shards through any cache).
+    for (const auto& e : random_stream(GetParam() + 1, 500)) {
+      tool.on_access(e);
+      ref.access(e);
+    }
+    expect_matches_reference(tool, ref);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuadToolDifferential,
+                         ::testing::Values(1, 17, 99, 2024));
 
 }  // namespace
 }  // namespace tq::quad
