@@ -2,13 +2,19 @@
 // delta + varint) on the stream workload — the trace shape the paper's tool
 // would produce when profiling a bandwidth-bound kernel.
 //
-// Reports bytes/event and the compression ratio (the PR's acceptance bar is
+// Reports bytes/event and the compression ratio (the acceptance bar is
 // v2 >= 4x smaller than v1 on this workload, enforced with TQUAD_CHECK),
-// encode/decode throughput, and sequential-v1 versus block-parallel-v2
-// offline aggregation time with a totals-equality cross-check.
+// encode/decode cost per event as the median and interquartile range of
+// order-alternated trials (including the streaming path a v2 TraceRecorder
+// takes through its session hooks), and sequential-v1 versus
+// block-parallel-v2 offline aggregation time with a totals-equality
+// cross-check.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -29,13 +35,83 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-trace::Trace record_stream_trace(std::uint32_t elements, std::uint32_t iterations) {
-  const workloads::StreamArtifacts stream = workloads::build_stream(elements, iterations);
+trace::Trace record_stream_trace(const vm::Program& program) {
   vm::HostEnv host;
-  trace::TraceRecorder recorder(stream.program);
-  vm::Machine machine(stream.program, host);
+  trace::TraceRecorder recorder(program);
+  vm::Machine machine(program, host);
   machine.run(&recorder);
   return recorder.take();
+}
+
+/// Replays `trace` through a v2 TraceRecorder's session hooks, the
+/// per-event path of a live recording, and returns the finished image.
+std::vector<std::uint8_t> encode_through_recorder(const vm::Program& program,
+                                                  const trace::Trace& trace) {
+  const auto kernel32 = [](std::uint16_t kernel) {
+    return kernel == trace::kNoKernel16 ? tquad::kNoKernel : std::uint32_t{kernel};
+  };
+  trace::TraceRecorder recorder(program, tquad::LibraryPolicy::kExclude,
+                                trace::TraceFormat::kV2);
+  for (const trace::Record& record : trace.records) {
+    switch (record.kind) {
+      case trace::EventKind::kEnter: {
+        session::EnterEvent event;
+        event.func = record.func;
+        event.kernel = kernel32(record.kernel);
+        event.retired = record.retired;
+        recorder.on_kernel_enter(event);
+        break;
+      }
+      case trace::EventKind::kRet: {
+        session::RetEvent event;
+        event.func = record.func;
+        event.pc = record.pc;
+        event.kernel = kernel32(record.kernel);
+        event.retired = record.retired;
+        recorder.on_kernel_ret(event);
+        break;
+      }
+      case trace::EventKind::kRead:
+      case trace::EventKind::kWrite: {
+        session::AccessEvent event;
+        event.func = record.func;
+        event.pc = record.pc;
+        event.kernel = kernel32(record.kernel);
+        event.retired = record.retired;
+        event.ea = record.ea;
+        event.size = record.size;
+        event.is_read = record.kind == trace::EventKind::kRead;
+        event.is_stack = (record.flags & trace::kFlagStackArea) != 0;
+        event.is_prefetch = (record.flags & trace::kFlagPrefetch) != 0;
+        recorder.on_access(event);
+        break;
+      }
+    }
+  }
+  recorder.on_session_end(trace.total_retired);
+  return recorder.take_encoded();
+}
+
+/// Median and quartiles of repeated timings (linear interpolation).
+struct Spread {
+  double median = 0, q1 = 0, q3 = 0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (samples[hi] - samples[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
+/// "median [q1-q3]" of per-event nanoseconds.
+std::string format_ns(const Spread& s) {
+  return format_fixed(s.median, 2) + " [" + format_fixed(s.q1, 2) + "-" +
+         format_fixed(s.q3, 2) + "]";
 }
 
 }  // namespace
@@ -52,41 +128,64 @@ int main(int argc, char** argv) {
     const auto block = static_cast<std::uint32_t>(cli.integer("block"));
     const auto slice = static_cast<std::uint64_t>(cli.integer("slice"));
 
-    const trace::Trace trace =
-        record_stream_trace(static_cast<std::uint32_t>(cli.integer("elements")),
-                            static_cast<std::uint32_t>(cli.integer("iterations")));
+    const workloads::StreamArtifacts stream =
+        workloads::build_stream(static_cast<std::uint32_t>(cli.integer("elements")),
+                                static_cast<std::uint32_t>(cli.integer("iterations")));
+    const trace::Trace trace = record_stream_trace(stream.program);
     const double events = static_cast<double>(trace.records.size());
     std::printf("stream trace: %s events, %s retired instructions\n\n",
                 format_count(trace.records.size()).c_str(),
                 format_count(trace.total_retired).c_str());
 
-    // -- Size -------------------------------------------------------------
-    auto start = Clock::now();
+    // -- Size and codec cost ------------------------------------------------
     const auto v1 = trace.serialize();
-    const double v1_encode = seconds_since(start);
-    start = Clock::now();
     const auto v2 = trace::serialize_v2(trace, block);
-    const double v2_encode = seconds_since(start);
+    TQUAD_CHECK(trace::Trace::deserialize(v1).records.size() == trace.records.size(),
+                "v1 round trip");
+    TQUAD_CHECK(trace::Trace::deserialize(v2).records.size() == trace.records.size(),
+                "v2 round trip");
+    // The recorder always writes the default block capacity.
+    const auto recorded = encode_through_recorder(stream.program, trace);
+    TQUAD_CHECK(block != trace::kDefaultBlockCapacity || recorded == v2,
+                "recorder hooks and serialize_v2 disagree");
 
-    start = Clock::now();
-    const trace::Trace v1_back = trace::Trace::deserialize(v1);
-    const double v1_decode = seconds_since(start);
-    start = Clock::now();
-    const trace::Trace v2_back = trace::Trace::deserialize(v2);
-    const double v2_decode = seconds_since(start);
-    TQUAD_CHECK(v1_back.records.size() == trace.records.size(), "v1 round trip");
-    TQUAD_CHECK(v2_back.records.size() == trace.records.size(), "v2 round trip");
+    // Each trial runs every timed operation once; odd trials run them in
+    // reverse order so no operation always follows the same one.
+    constexpr int kTrials = 11;
+    std::size_t sink = 0;
+    const std::vector<std::function<void()>> ops = {
+        [&] { sink += trace.serialize().size(); },
+        [&] { sink += trace::Trace::deserialize(v1).records.size(); },
+        [&] { sink += trace::serialize_v2(trace, block).size(); },
+        [&] { sink += trace::Trace::deserialize(v2).records.size(); },
+        [&] { sink += encode_through_recorder(stream.program, trace).size(); },
+    };
+    std::vector<std::vector<double>> ns_per_event(ops.size());
+    for (int t = 0; t < kTrials; ++t) {
+      for (std::size_t k = 0; k < ops.size(); ++k) {
+        const std::size_t op = t % 2 == 0 ? k : ops.size() - 1 - k;
+        const auto begin = Clock::now();
+        ops[op]();
+        ns_per_event[op].push_back(seconds_since(begin) / events * 1e9);
+      }
+    }
+    TQUAD_CHECK(sink > 0, "timed operations produced nothing");
+    std::vector<Spread> cost;
+    for (auto& samples : ns_per_event) cost.push_back(spread_of(std::move(samples)));
 
     const double ratio = static_cast<double>(v1.size()) / static_cast<double>(v2.size());
-    TextTable table({"format", "bytes", "bytes/event", "encode Mev/s", "decode Mev/s"});
+    std::printf("codec cost, ns/event: median [quartiles] over %d alternated trials\n",
+                kTrials);
+    TextTable table({"format", "bytes", "bytes/event", "encode ns/ev", "decode ns/ev"});
     table.add_row({"v1 flat", format_count(v1.size()),
                    format_fixed(static_cast<double>(v1.size()) / events, 2),
-                   format_fixed(events / v1_encode / 1e6, 1),
-                   format_fixed(events / v1_decode / 1e6, 1)});
+                   format_ns(cost[0]), format_ns(cost[1])});
     table.add_row({"v2 blocked", format_count(v2.size()),
                    format_fixed(static_cast<double>(v2.size()) / events, 2),
-                   format_fixed(events / v2_encode / 1e6, 1),
-                   format_fixed(events / v2_decode / 1e6, 1)});
+                   format_ns(cost[2]), format_ns(cost[3])});
+    table.add_row({"v2 recorder hooks", format_count(recorded.size()),
+                   format_fixed(static_cast<double>(recorded.size()) / events, 2),
+                   format_ns(cost[4]), "-"});
     std::fputs(table.to_ascii().c_str(), stdout);
     std::printf("\ncompression ratio (v1/v2): %.2fx (block capacity %u)\n\n",
                 ratio, block);
@@ -144,7 +243,7 @@ int main(int argc, char** argv) {
                 "v2.1 decode with verification lost records");
 
     // -- Aggregation ------------------------------------------------------
-    start = Clock::now();
+    auto start = Clock::now();
     trace::OfflineBandwidth sequential(trace.kernel_count, slice);
     sequential.aggregate(trace);
     const double seq_time = seconds_since(start);

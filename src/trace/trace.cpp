@@ -83,7 +83,11 @@ Trace Trace::deserialize(std::span<const std::uint8_t> bytes) {
     record.kind = static_cast<EventKind>(kind);
     record.size = reader.u8();
     record.flags = reader.u8();
+    if (record.flags & ~v2_coding::kDefinedFlags) {
+      TQUAD_THROW("TQTR record with undefined flag bits");
+    }
     record.reserved = reader.u8();
+    if (record.reserved != 0) TQUAD_THROW("TQTR record reserved byte is not zero");
     if (record.kernel != kNoKernel16 && record.kernel >= trace.kernel_count) {
       TQUAD_THROW("TQTR record kernel id out of range");
     }
@@ -92,6 +96,17 @@ Trace Trace::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 // ---- TraceRecorder --------------------------------------------------------------
+
+// Defined before its callers so the always_inline declaration can take effect.
+inline void TraceRecorder::push(const Record& record) {
+  last_retired_ = record.retired;
+  ++records_written_;
+  if (writer_) {
+    writer_->add(record);
+  } else {
+    trace_.records.push_back(record);
+  }
+}
 
 TraceRecorder::TraceRecorder(const vm::Program& program, tquad::LibraryPolicy policy,
                              TraceFormat format)
@@ -128,16 +143,6 @@ void TraceRecorder::finalize() {
     encoded_ = writer_->finish(trace_.total_retired);
     encoded_bytes_ = encoded_.size();
     blocks_written_ = writer_->block_count();
-  }
-}
-
-void TraceRecorder::push(const Record& record) {
-  last_retired_ = record.retired;
-  ++records_written_;
-  if (writer_) {
-    writer_->add(record);
-  } else {
-    trace_.records.push_back(record);
   }
 }
 
@@ -249,17 +254,21 @@ void TraceRecorder::on_session_end(std::uint64_t total_retired) {
 
 Trace TraceRecorder::take() {
   TQUAD_CHECK(!writer_, "take() needs a v1 recorder; v2 mode streamed the records");
+  TQUAD_CHECK(!spent_, "recorder is spent");
+  spent_ = true;
   return std::move(trace_);
 }
 
 std::vector<std::uint8_t> TraceRecorder::take_encoded() {
-  if (writer_) {
-    finalize();
-    return std::move(encoded_);
+  if (!writer_) {
+    std::vector<std::uint8_t> bytes = take().serialize();
+    encoded_bytes_ = bytes.size();
+    return bytes;
   }
-  std::vector<std::uint8_t> bytes = take().serialize();
-  encoded_bytes_ = bytes.size();
-  return bytes;
+  TQUAD_CHECK(!spent_, "recorder is spent");
+  spent_ = true;
+  finalize();
+  return std::move(encoded_);
 }
 
 void TraceRecorder::publish_metrics(metrics::Registry& registry) const {

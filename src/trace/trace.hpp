@@ -65,7 +65,7 @@ struct Record {
   EventKind kind;
   std::uint8_t size;      ///< access width in bytes
   std::uint8_t flags;     ///< kFlag* bits
-  std::uint8_t reserved;
+  std::uint8_t reserved;  ///< must be 0: decoders reject and the v2 writer refuses others
 };
 
 /// On-disk size of one v1 record: the packed field sizes, independent of
@@ -154,10 +154,11 @@ class TraceRecorder final : public vm::ExecListener,
 
   /// Take the finished in-memory trace (v1 mode only; the recorder is
   /// spent). In v2 mode the records were streamed out — use take_encoded().
+  /// A second take() or take_encoded() fails a TQUAD_CHECK.
   Trace take();
 
   /// Serialise the finished trace in the recorder's format (call after the
-  /// run; the recorder is spent).
+  /// run; the recorder is spent, and a second call fails a TQUAD_CHECK).
   std::vector<std::uint8_t> take_encoded();
 
   /// Self-observability: records/bytes written, the raw-equivalent volume
@@ -166,7 +167,8 @@ class TraceRecorder final : public vm::ExecListener,
   void publish_metrics(metrics::Registry& registry) const;
 
  private:
-  void push(const Record& record);
+  /// Forced inline so every on_* hook encodes without a call.
+  [[gnu::always_inline]] void push(const Record& record);
 
   tquad::CallStack stack_;  ///< standalone attribution; idle in session mode
   Trace trace_;
@@ -177,6 +179,7 @@ class TraceRecorder final : public vm::ExecListener,
   std::uint64_t encoded_bytes_ = 0;   ///< set by take_encoded()/finalize()
   std::uint64_t blocks_written_ = 0;  ///< v2 only
   bool finalized_ = false;
+  bool spent_ = false;  ///< take() or take_encoded() handed the trace out
 };
 
 /// Consumer interface for replay().

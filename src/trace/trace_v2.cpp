@@ -12,35 +12,20 @@ namespace tq::trace {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x52545154;  // "TQTR"
-constexpr std::uint8_t kDefinedFlags = kFlagStackArea | kFlagPrefetch;
 
-// Tag byte: bits 0-1 kind, 2-3 flags, 4-6 size code, 7 context-repeat
-// (kernel/func equal the previous record in the block; their varints are
-// omitted). pc is not part of the repeat set: a loop body walks several
-// distinct pcs per iteration, so pc gets its own zigzag delta instead.
-constexpr std::uint8_t kTagCtxRepeat = 0x80;
+using v2_coding::kAccessSizes;
+using v2_coding::kSizeLiteral;
+using v2_coding::kTagCtxRepeat;
 
-// Size codes 0..6 for the common access widths of kRead/kWrite; 7 means a
-// literal size byte follows the tag. kEnter/kRet use code 0 for their
-// (constant) size 0.
-constexpr std::uint8_t kAccessSizes[7] = {1, 2, 4, 8, 16, 32, 64};
-constexpr std::uint8_t kSizeLiteral = 7;
-
-std::uint8_t size_code(EventKind kind, std::uint8_t size) {
-  if (kind == EventKind::kRead || kind == EventKind::kWrite) {
-    for (std::uint8_t code = 0; code < 7; ++code) {
-      if (kAccessSizes[code] == size) return code;
+// The writer's switch and the decoder's table must agree on every code.
+static_assert([] {
+  for (std::uint8_t code = 0; code < kSizeLiteral; ++code) {
+    if (v2_coding::size_code(EventKind::kRead, kAccessSizes[code]) != code) {
+      return false;
     }
-    return kSizeLiteral;
   }
-  return size == 0 ? 0 : kSizeLiteral;
-}
-
-std::uint64_t delta_u64(std::uint64_t value, std::uint64_t previous) {
-  // Wraparound difference, zigzagged: the shortest signed distance wins, so
-  // a max-u64 jump backwards still costs one byte.
-  return wire::zigzag_encode(static_cast<std::int64_t>(value - previous));
-}
+  return true;
+}());
 
 std::uint64_t apply_delta(std::uint64_t previous, std::uint64_t zigzag) {
   return previous + static_cast<std::uint64_t>(wire::zigzag_decode(zigzag));
@@ -87,54 +72,26 @@ TraceV2Writer::TraceV2Writer(std::uint32_t kernel_count, std::uint32_t block_cap
   wire::put_u64(out_, 0);
 }
 
-void TraceV2Writer::add(const Record& record) {
+void TraceV2Writer::reject(std::uint8_t kind, std::uint8_t flags) const {
   TQUAD_CHECK(!finished_, "TraceV2Writer reused after finish()");
-  if (static_cast<std::uint8_t>(record.kind) >
-      static_cast<std::uint8_t>(EventKind::kWrite)) {
+  if (kind > static_cast<std::uint8_t>(EventKind::kWrite)) {
     TQUAD_THROW("TQTR v2: record kind out of range");
   }
-  if (record.flags & ~kDefinedFlags) {
+  if (flags & ~v2_coding::kDefinedFlags) {
     TQUAD_THROW("TQTR v2: undefined flag bits are not representable");
   }
-  if (block_records_ == 0) {
-    block_first_retired_ = record.retired;
-    prev_retired_ = record.retired;
-  }
+  TQUAD_THROW("TQTR v2: nonzero reserved byte is not representable");
+}
 
-  const std::uint8_t code = size_code(record.kind, record.size);
-  const bool repeat = block_records_ > 0 && record.kernel == prev_kernel_ &&
-                      record.func == prev_func_;
-  std::uint8_t tag = static_cast<std::uint8_t>(record.kind) |
-                     static_cast<std::uint8_t>(record.flags << 2) |
-                     static_cast<std::uint8_t>(code << 4);
-  if (repeat) tag |= kTagCtxRepeat;
-  wire::put_u8(payload_, tag);
-  if (code == kSizeLiteral) wire::put_u8(payload_, record.size);
-  wire::put_varint(payload_, delta_u64(record.retired, prev_retired_));
-  const auto kind_index = static_cast<std::size_t>(record.kind);
-  wire::put_varint(payload_, delta_u64(record.ea, prev_ea_[kind_index]));
-  wire::put_varint(payload_, delta_u64(record.pc, prev_pc_));
-  if (!repeat) {
-    wire::put_varint(payload_, record.kernel);
-    wire::put_varint(payload_, record.func);
-  }
-
-  prev_retired_ = record.retired;
-  prev_ea_[kind_index] = record.ea;
-  prev_pc_ = record.pc;
-  prev_kernel_ = record.kernel;
-  prev_func_ = record.func;
-  block_last_retired_ = record.retired;
-  block_bloom_ |= 1ull << (record.kernel & 63);
-  ++record_count_;
-  if (++block_records_ == block_capacity_) flush_block();
+void TraceV2Writer::grow_payload() {
+  payload_.resize(std::max<std::size_t>(2 * payload_.size(), 256));
 }
 
 void TraceV2Writer::flush_block() {
   BlockInfo info;
   info.file_offset = out_.size();
   info.record_count = block_records_;
-  info.payload_bytes = static_cast<std::uint32_t>(payload_.size());
+  info.payload_bytes = static_cast<std::uint32_t>(payload_used_);
   info.first_retired = block_first_retired_;
   info.last_retired = block_last_retired_;
   info.kernel_bloom = block_bloom_;
@@ -149,13 +106,14 @@ void TraceV2Writer::flush_block() {
     // CRC over the 32 header bytes just written plus the payload.
     const std::uint32_t head =
         crc32c(out_.data() + info.file_offset, kV2LegacyBlockHeaderBytes);
-    blocks_.back().crc = crc32c(payload_.data(), payload_.size(), head);
+    blocks_.back().crc = crc32c(payload_.data(), payload_used_, head);
     wire::put_u32(out_, blocks_.back().crc);
     wire::put_u32(out_, 0);  // reserved
   }
-  out_.insert(out_.end(), payload_.begin(), payload_.end());
+  out_.insert(out_.end(), payload_.begin(),
+              payload_.begin() + static_cast<std::ptrdiff_t>(payload_used_));
 
-  payload_.clear();
+  payload_used_ = 0;
   block_records_ = 0;
   block_bloom_ = 0;
   prev_retired_ = 0;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "trace/trace.hpp"
+#include "trace/wire.hpp"
 
 namespace tq::trace {
 
@@ -44,6 +45,53 @@ inline constexpr std::uint32_t kV2MinorCrc = 1;
 inline constexpr std::uint32_t v2_version_word(std::uint32_t minor) {
   return kV2VersionMajor | (minor << 16);
 }
+
+/// Record coding shared by the writer (inline below) and the decoder.
+namespace v2_coding {
+
+inline constexpr std::uint8_t kDefinedFlags = kFlagStackArea | kFlagPrefetch;
+
+// Tag byte: bits 0-1 kind, 2-3 flags, 4-6 size code, 7 context-repeat
+// (kernel/func equal the previous record in the block; their varints are
+// omitted). pc is not part of the repeat set: a loop body walks several
+// distinct pcs per iteration, so pc gets its own zigzag delta instead.
+inline constexpr std::uint8_t kTagCtxRepeat = 0x80;
+
+// Size codes 0..6 for the common access widths of kRead/kWrite; 7 means a
+// literal size byte follows the tag. kEnter/kRet use code 0 for their
+// (constant) size 0.
+inline constexpr std::uint8_t kAccessSizes[7] = {1, 2, 4, 8, 16, 32, 64};
+inline constexpr std::uint8_t kSizeLiteral = 7;
+
+/// Upper bound on one encoded record: tag, literal size byte, three 10-byte
+/// varints (retired, ea and pc deltas) and two 3-byte varints (kernel and
+/// func, both 16-bit). The pc delta of a 32-bit pc never exceeds 5 bytes,
+/// so the bound is loose by 5; one round figure keeps the check obvious.
+inline constexpr std::size_t kMaxRecordBytes = 1 + 1 + 3 * 10 + 2 * 3;
+
+constexpr std::uint8_t size_code(EventKind kind, std::uint8_t size) noexcept {
+  if (kind == EventKind::kRead || kind == EventKind::kWrite) {
+    switch (size) {
+      case 1: return 0;
+      case 2: return 1;
+      case 4: return 2;
+      case 8: return 3;
+      case 16: return 4;
+      case 32: return 5;
+      case 64: return 6;
+      default: return kSizeLiteral;
+    }
+  }
+  return size == 0 ? 0 : kSizeLiteral;
+}
+
+/// Wraparound difference, zigzagged: the shortest signed distance wins, so
+/// a max-u64 jump backwards still costs one byte.
+inline std::uint64_t delta_u64(std::uint64_t value, std::uint64_t previous) noexcept {
+  return wire::zigzag_encode(static_cast<std::int64_t>(value - previous));
+}
+
+}  // namespace v2_coding
 
 /// Quick sniff: the image starts like a TQTR file with major version 2 (any
 /// minor — open() rejects minors it cannot decode with a clear error).
@@ -93,8 +141,10 @@ class TraceV2Writer {
                          std::uint32_t minor = kV2MinorCrc);
 
   /// Append one record. Throws tq::Error if the record is not representable
-  /// (flag bits outside the defined set, out-of-range kind).
-  void add(const Record& record);
+  /// (flag bits outside the defined set, out-of-range kind, nonzero
+  /// reserved byte). Forced inline: this is the recorder's per-event path,
+  /// and at its size the compiler would otherwise keep it out of line.
+  [[gnu::always_inline]] void add(const Record& record);
 
   /// Seal the file: flush the open block, append the index, patch the
   /// header. The writer is spent afterwards.
@@ -106,12 +156,19 @@ class TraceV2Writer {
   std::size_t block_count() const noexcept { return blocks_.size(); }
 
  private:
+  /// Throws the error for the check add() failed.
+  [[noreturn]] void reject(std::uint8_t kind, std::uint8_t flags) const;
+  void grow_payload();
   void flush_block();
 
   std::uint32_t block_capacity_;
   std::uint32_t minor_;
   std::vector<std::uint8_t> out_;      ///< finished header + flushed blocks
-  std::vector<std::uint8_t> payload_;  ///< open block payload
+  /// Open block payload: bytes [0, payload_used_) are encoded records; the
+  /// vector's size is its capacity, kept >= payload_used_ + kMaxRecordBytes
+  /// before each record is written through a raw cursor.
+  std::vector<std::uint8_t> payload_;
+  std::size_t payload_used_ = 0;
   std::vector<BlockInfo> blocks_;
   std::uint64_t record_count_ = 0;
   bool finished_ = false;
@@ -128,6 +185,49 @@ class TraceV2Writer {
   std::uint16_t prev_kernel_ = 0;
   std::uint16_t prev_func_ = 0;
 };
+
+inline void TraceV2Writer::add(const Record& record) {
+  using namespace v2_coding;
+  const auto kind = static_cast<std::uint8_t>(record.kind);
+  if (finished_ || kind > static_cast<std::uint8_t>(EventKind::kWrite) ||
+      (record.flags & ~kDefinedFlags) != 0 || record.reserved != 0) [[unlikely]] {
+    reject(kind, record.flags);
+  }
+  // One check per record: after it, any record fits without another.
+  if (payload_.size() - payload_used_ < kMaxRecordBytes) [[unlikely]] {
+    grow_payload();
+  }
+  if (block_records_ == 0) {
+    block_first_retired_ = record.retired;
+    prev_retired_ = record.retired;
+  }
+
+  const std::uint8_t code = size_code(record.kind, record.size);
+  const bool repeat = block_records_ > 0 && record.kernel == prev_kernel_ &&
+                      record.func == prev_func_;
+  std::uint8_t* cursor = payload_.data() + payload_used_;
+  *cursor++ = static_cast<std::uint8_t>(kind | (record.flags << 2) | (code << 4) |
+                                        (repeat ? kTagCtxRepeat : 0));
+  if (code == kSizeLiteral) *cursor++ = record.size;
+  cursor = wire::put_varint(cursor, delta_u64(record.retired, prev_retired_));
+  cursor = wire::put_varint(cursor, delta_u64(record.ea, prev_ea_[kind]));
+  cursor = wire::put_varint(cursor, delta_u64(record.pc, prev_pc_));
+  if (!repeat) {
+    cursor = wire::put_varint(cursor, record.kernel);
+    cursor = wire::put_varint(cursor, record.func);
+  }
+  payload_used_ = static_cast<std::size_t>(cursor - payload_.data());
+
+  prev_retired_ = record.retired;
+  prev_ea_[kind] = record.ea;
+  prev_pc_ = record.pc;
+  prev_kernel_ = record.kernel;
+  prev_func_ = record.func;
+  block_last_retired_ = record.retired;
+  block_bloom_ |= 1ull << (record.kernel & 63);
+  ++record_count_;
+  if (++block_records_ == block_capacity_) flush_block();
+}
 
 /// One-shot convenience: encode a whole in-memory trace as TQTR v2.
 std::vector<std::uint8_t> serialize_v2(

@@ -5,8 +5,11 @@
 // any overrun instead of walking off the buffer. Varints are LEB128 (7 bits
 // per byte, little-endian groups, high bit = continuation, max 10 bytes for
 // a u64); signed deltas use zigzag so small negative strides stay short.
+// Fixed-width fields are copied in host byte order, which is the on-disk
+// little-endian order only on little-endian hosts; the build refuses others.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -15,6 +18,9 @@
 #include "support/check.hpp"
 
 namespace tq::trace::wire {
+
+static_assert(std::endian::native == std::endian::little,
+              "the TQTR wire format is little-endian; other hosts are unsupported");
 
 inline void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
@@ -35,13 +41,15 @@ inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.insert(out.end(), p, p + 8);
 }
 
-/// LEB128 unsigned varint, 1..10 bytes.
-inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+/// LEB128 unsigned varint, 1..10 bytes, written at `p` into a buffer the
+/// caller has already sized; returns the position after it.
+inline std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) noexcept {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
 }
 
 /// Zigzag: map signed deltas to unsigned so ±small stays a 1-byte varint.

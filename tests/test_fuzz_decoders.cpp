@@ -195,6 +195,49 @@ TEST(DecoderFuzzMutation, FlippedV2Traces) {
   }
 }
 
+TEST(DecoderFuzzMutation, FlippedV1TracesReencodeLosslessly) {
+  // Whatever a mutated v1 image decodes to must re-encode to the same bytes
+  // in v1, and must be accepted by the v2 writer and survive its round trip:
+  // the decoder may not admit a record no writer can reproduce (stray flag
+  // bits, a nonzero reserved byte).
+  trace::Trace source;
+  source.kernel_count = 5;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    trace::Record record{};
+    record.retired = 3 * i;
+    record.ea = 0x2000 + 8 * i;
+    record.pc = static_cast<std::uint32_t>(i % 7);
+    record.kernel = static_cast<std::uint16_t>(i % 5);
+    record.func = record.kernel;
+    record.kind = static_cast<trace::EventKind>(i % 4);
+    record.size = record.kind >= trace::EventKind::kRead ? 8 : 0;
+    record.flags = static_cast<std::uint8_t>(i % 4);
+    source.records.push_back(record);
+  }
+  source.total_retired = 200;
+  const auto valid = source.serialize();
+  SplitMix64 rng(13);
+  int survivors = 0;
+  for (int round = 0; round < 2000; ++round) {
+    auto mutated = valid;
+    // Flip within the record area, where the flag and reserved bytes live.
+    const std::size_t at = 32 + rng.next_below(valid.size() - 32);
+    mutated[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+    trace::Trace decoded;
+    try {
+      decoded = trace::Trace::deserialize(mutated);
+    } catch (const Error&) {
+      continue;
+    }
+    ++survivors;
+    EXPECT_EQ(decoded.serialize(), mutated) << "flip at " << at;
+    const trace::Trace back =
+        trace::Trace::deserialize(trace::serialize_v2(decoded));
+    ASSERT_EQ(back.serialize(), mutated) << "flip at " << at;
+  }
+  EXPECT_GT(survivors, 0);
+}
+
 TEST(DecoderFuzzMutation, TruncatedV2AtEveryLength) {
   // v2 requires the blocks to end exactly at the index and the index to end
   // exactly at EOF, so every strict prefix must be rejected.

@@ -6,6 +6,7 @@
 #include "minipin/minipin.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_v2.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "wfs/runner.hpp"
 
@@ -120,6 +121,41 @@ TEST(TraceSerialization, RejectsCorruption) {
   auto truncated = bytes;
   truncated.resize(truncated.size() - 7);
   EXPECT_THROW(Trace::deserialize(truncated), Error);
+}
+
+TEST(TraceSerialization, RejectsFieldsNoWriterProduces) {
+  // A v1 record's flags byte may only carry the defined kFlag* bits and its
+  // reserved byte must be zero; anything else could not be re-encoded
+  // losslessly (v2 has no bits for it).
+  const Trace trace = record_trace(make_mixed_program());
+  const auto bytes = trace.serialize();
+  ASSERT_GE(trace.records.size(), 3u);
+  const std::size_t record = 32 + 2 * kRecordDiskBytes;  // third record
+  auto bad_flags = bytes;
+  bad_flags[record + 26] |= 0x04;
+  EXPECT_THROW(Trace::deserialize(bad_flags), Error);
+  auto bad_reserved = bytes;
+  bad_reserved[record + 27] = 0x01;
+  EXPECT_THROW(Trace::deserialize(bad_reserved), Error);
+}
+
+TEST(TraceSerialization, DecodedRecordsReencodeLosslessly) {
+  // v1 -> decode -> v1 reproduces the image, and -> v2 -> decode gives the
+  // same records, reserved byte included.
+  const Trace trace = record_trace(make_mixed_program());
+  const auto v1 = trace.serialize();
+  const Trace decoded = Trace::deserialize(v1);
+  EXPECT_EQ(decoded.serialize(), v1);
+  const Trace via_v2 = Trace::deserialize(serialize_v2(decoded));
+  ASSERT_EQ(via_v2.records.size(), decoded.records.size());
+  for (std::size_t i = 0; i < decoded.records.size(); ++i) {
+    const Record& a = decoded.records[i];
+    const Record& b = via_v2.records[i];
+    EXPECT_TRUE(a.retired == b.retired && a.ea == b.ea && a.pc == b.pc &&
+                a.kernel == b.kernel && a.func == b.func && a.kind == b.kind &&
+                a.size == b.size && a.flags == b.flags && a.reserved == b.reserved)
+        << "record " << i;
+  }
 }
 
 TEST(TraceReplay, VisitsEveryRecordInOrder) {
