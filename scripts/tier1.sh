@@ -24,6 +24,8 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    The QUAD and AddressSet suites run here because their page lookasides
 #    cache raw page pointers in front of the page maps: a pointer left stale
 #    by a move, clear, merge or shard fold is a use-after-free ASan reports.
+#    The access-batch suite runs here because the engine and the attribution
+#    write fixed 256-record buffers through raw indices.
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_trace test_trace_v2_codec test_trace_offline_differential \
@@ -31,9 +33,10 @@ cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_session test_session_differential test_session_replay \
     test_session_pipeline \
     test_support_metrics test_workload_zoo test_engine_differential \
-    test_quad_shadow test_quad_tool test_quad_buffers test_support_address_set
+    test_quad_shadow test_quad_tool test_quad_buffers test_support_address_set \
+    test_access_batch
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_quad_shadow|test_quad_tool|test_quad_buffers|test_support_address_set)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_quad_shadow|test_quad_tool|test_quad_buffers|test_support_address_set|test_access_batch)$'
 
 # 2b. Forced-adaptive stress under ASan: replay the whole pipeline parity
 #     suite with the batch controller pinned to its most allocation-churny
@@ -48,15 +51,17 @@ TQ_PIPELINE_FORCE_ADAPTIVE=grow \
 #    the metrics thread-sink fold, parallel trace replay, and the
 #    fault-injection harness whose trap path exercises the pipeline's
 #    abort/drain sequence. The engine differential suite rides along for
-#    its compiled-engine-feeding-the-parallel-pipeline cases.
+#    its compiled-engine-feeding-the-parallel-pipeline cases, and the
+#    access-batch suite for the lanes' batch regrouping on worker threads.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
     test_support_thread_pool test_support_metrics test_session \
     test_session_differential test_session_replay test_session_pipeline \
     test_trace test_fault_injection test_support_crc32c \
-    test_workload_zoo test_trace_offline_differential test_engine_differential
+    test_workload_zoo test_trace_offline_differential test_engine_differential \
+    test_access_batch
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -R '^(test_support_thread_pool|test_support_metrics|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential)$'
+    -R '^(test_support_thread_pool|test_support_metrics|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential|test_access_batch)$'
 
 # 3b. Forced-adaptive stress under TSan: the cycle schedule walks every lane
 #     through grow and shrink transitions while workers drain concurrently —

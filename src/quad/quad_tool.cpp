@@ -151,15 +151,18 @@ void QuadTool::on_tick_run(const session::TickRunEvent& run) {
   mem_refs_[run.kernel] += run.mem_count;
 }
 
-void QuadTool::on_access(const session::AccessEvent& event) {
-  if (event.is_prefetch) return;  // QUAD never traces prefetch touches
-  if (event.kernel == tquad::kNoKernel) return;
-  if (event.is_read) {
-    account_read(state_, event.kernel, event.ea, event.size, event.is_stack,
-                 true);
-  } else {
-    account_write(state_, event.kernel, event.ea, event.size, event.is_stack,
-                  true);
+void QuadTool::on_access_batch(std::span<const session::AccessEvent> batch) {
+  // One kernel per batch (the AnalysisConsumer contract).
+  if (batch.empty() || batch.front().kernel == tquad::kNoKernel) return;
+  const std::uint32_t kernel = batch.front().kernel;
+  for (const session::AccessEvent& event : batch) {
+    if (event.is_prefetch) continue;  // QUAD never traces prefetch touches
+    if (event.is_read) {
+      account_read(state_, kernel, event.ea, event.size, event.is_stack, true);
+    } else {
+      account_write(state_, kernel, event.ea, event.size, event.is_stack,
+                    true);
+    }
   }
 }
 

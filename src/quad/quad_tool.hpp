@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,7 +98,7 @@ struct QuadOptions {
 /// The QUAD tool. Construct before the run (standalone with an Engine, or
 /// session mode with a Program plus ProfileSession::add_consumer — use the
 /// same library policy as the session); query afterwards.
-class QuadTool : public session::AnalysisConsumer,
+class QuadTool final : public session::AnalysisConsumer,
                  public session::ShardedAccessConsumer {
  public:
   using Options = QuadOptions;
@@ -157,7 +158,10 @@ class QuadTool : public session::AnalysisConsumer,
   void on_kernel_enter(const session::EnterEvent& event) override;
   void on_tick(const session::TickEvent& event) override;
   void on_tick_run(const session::TickRunEvent& run) override;
-  void on_access(const session::AccessEvent& event) override;
+  void on_access(const session::AccessEvent& event) override {
+    on_access_batch({&event, 1});
+  }
+  void on_access_batch(std::span<const session::AccessEvent> batch) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
 
   // session::ShardedAccessConsumer (parallel pipeline): the per-address

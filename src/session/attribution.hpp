@@ -6,13 +6,24 @@
 // each event with the current attribution state, and every registered
 // AnalysisConsumer sees the same attributed stream. The input methods are
 // inline — they sit on the per-instruction hot path.
+//
+// Accesses are buffered into one pending batch, whichever way they arrive:
+// whole engine batches (input_accesses) or one at a time from the
+// interpreter trampolines and trace replay (input_access). The batch goes
+// out through AnalysisConsumer::on_access_batch when it is full, when the
+// function changes, and first thing at every other delivery (flush_run), so
+// each consumer sees the per-access event order exactly. With no access
+// subscriber, accesses are only counted.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "session/events.hpp"
 #include "tquad/callstack.hpp"
+#include "vm/probe.hpp"
 #include "vm/program.hpp"
 
 namespace tq::session {
@@ -25,8 +36,12 @@ struct EventCounts {
   std::uint64_t ticks = 0;      ///< total instruction ticks (exact + batched)
   std::uint64_t tick_runs = 0;  ///< TickRunEvents delivered
   std::uint64_t accesses = 0;
+  std::uint64_t access_batches = 0;  ///< on_access_batch deliveries
   std::uint64_t rets = 0;
 };
+
+// One engine batch fills at most one attribution batch.
+static_assert(kAccessBatchCapacity == vm::kAccessBatchCapacity);
 
 class KernelAttribution {
  public:
@@ -157,22 +172,33 @@ class KernelAttribution {
     for (AnalysisConsumer* consumer : tick_consumers_) consumer->on_tick(event);
   }
 
+  /// One access (the interpreter trampolines and trace replay).
   void input_access(std::uint32_t func, std::uint32_t pc, std::uint64_t retired,
                     std::uint64_t ea, std::uint32_t size, bool is_read,
                     bool is_stack, bool is_prefetch) {
-    AccessEvent event;
-    event.func = func;
-    event.pc = pc;
-    event.kernel = top_;
-    event.retired = retired;
-    event.ea = ea;
-    event.size = size;
-    event.is_read = is_read;
-    event.is_stack = is_stack;
-    event.is_prefetch = is_prefetch;
-    ++counts_.accesses;
-    for (AnalysisConsumer* consumer : access_consumers_) {
-      consumer->on_access(event);
+    const vm::AccessRecord record{retired, ea, pc, size,
+                                  is_read, is_stack, is_prefetch};
+    input_accesses(func, {&record, 1});
+  }
+
+  /// A batch of accesses of `func` (the compiled engine's access buffer).
+  void input_accesses(std::uint32_t func,
+                      std::span<const vm::AccessRecord> records) {
+    counts_.accesses += records.size();
+    if (access_consumers_.empty()) return;
+    if (pending_ != 0 && batch_[0].func != func) flush_accesses();
+    for (const vm::AccessRecord& record : records) {
+      AccessEvent& event = batch_[pending_];
+      event.func = func;
+      event.pc = record.pc;
+      event.kernel = top_;
+      event.retired = record.retired;
+      event.ea = record.ea;
+      event.size = record.size;
+      event.is_read = record.is_read;
+      event.is_stack = record.is_stack;
+      event.is_prefetch = record.is_prefetch;
+      if (++pending_ == batch_.size()) flush_accesses();
     }
   }
 
@@ -193,7 +219,7 @@ class KernelAttribution {
   }
 
   void input_end(std::uint64_t total_retired) {
-    flush_run();
+    flush_run();  // the pending access batch first, then the tick run
     for (AnalysisConsumer* consumer : consumers_) {
       consumer->on_session_end(total_retired);
     }
@@ -211,7 +237,20 @@ class KernelAttribution {
   }
 
  private:
+  /// Deliver the pending access batch (no-op when empty). Every other
+  /// delivery goes through flush_run, which calls this first.
+  void flush_accesses() {
+    if (pending_ == 0) return;
+    const std::span<const AccessEvent> batch(batch_.data(), pending_);
+    pending_ = 0;
+    ++counts_.access_batches;
+    for (AnalysisConsumer* consumer : access_consumers_) {
+      consumer->on_access_batch(batch);
+    }
+  }
+
   void flush_run() {
+    flush_accesses();
     if (run_count_ == 0) return;
     TickRunEvent run;
     run.func = run_func_;
@@ -239,6 +278,10 @@ class KernelAttribution {
   std::vector<AnalysisConsumer*> access_consumers_;
   std::vector<AnalysisConsumer*> ret_consumers_;
   EventCounts counts_;
+
+  // Pending access batch: batch_[0, pending_) share one func and kernel.
+  std::array<AccessEvent, kAccessBatchCapacity> batch_;
+  std::size_t pending_ = 0;
 
   // Pending tick run (see input_batch_tick).
   std::uint32_t run_func_ = 0;

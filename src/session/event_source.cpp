@@ -18,6 +18,7 @@ namespace {
 /// pending-run accumulator (input_batch_tick_span), so consumers see
 /// TickRunEvents flushed at exactly the boundaries — routine entry, return,
 /// end of input — where the interpreter-backed trampolines flush them.
+/// Access batches join the attribution's pending access batch whole.
 class AttributionSink final : public vm::EventSink {
  public:
   explicit AttributionSink(KernelAttribution& attribution)
@@ -30,11 +31,9 @@ class AttributionSink final : public vm::EventSink {
                     std::uint64_t count, std::uint64_t mem_count) override {
     attribution_.input_batch_tick_span(func, first_retired, count, mem_count);
   }
-  void on_access(std::uint32_t func, std::uint32_t pc, std::uint64_t retired,
-                 std::uint64_t ea, std::uint32_t size, bool is_read,
-                 bool is_stack, bool is_prefetch) override {
-    attribution_.input_access(func, pc, retired, ea, size, is_read, is_stack,
-                              is_prefetch);
+  void on_accesses(std::uint32_t func,
+                   std::span<const vm::AccessRecord> batch) override {
+    attribution_.input_accesses(func, batch);
   }
   void on_ret(std::uint32_t func, std::uint32_t pc,
               std::uint64_t retired) override {
@@ -127,8 +126,9 @@ vm::RunOutcome LiveEngineSource::run(KernelAttribution& attribution) {
   TQUAD_CHECK(!ran_, "LiveEngineSource::run is single-shot; construct a fresh one");
   ran_ = true;
   if (compiled_) {
-    // The fast path: the engine batches ticks into spans and emits
-    // accesses/enters/returns directly — no per-instruction callbacks.
+    // The fast path: the engine batches ticks into spans and accesses into
+    // buffers, and emits enters/returns directly — no per-instruction
+    // callbacks.
     AttributionSink sink(attribution);
     const vm::RunOutcome outcome = compiled_->run(sink);
     attribution.input_finish(outcome);
@@ -175,7 +175,10 @@ namespace {
 /// using a plain function stack maintained from enter/ret records, and
 /// dispatches each group in live order: the instruction's tick before its
 /// first record, accesses and returns in record order, entries where the
-/// recorder placed them.
+/// recorder placed them. Every tick joins the attribution's batched run, as
+/// on the live paths, so accesses keep batching across instructions; the
+/// memory-operand bit comes from the group's records, so a predicated-off
+/// memory instruction (it leaves none) counts as a plain tick.
 class ReplayFeeder {
  public:
   ReplayFeeder(KernelAttribution& attribution, std::uint32_t function_count)
@@ -244,7 +247,8 @@ class ReplayFeeder {
       }
       if (!tick_emitted) {
         tick_emitted = true;
-        attribution_.input_tick(tick_func, group_retired_, read_size, write_size);
+        attribution_.input_batch_tick(tick_func, group_retired_,
+                                      (read_size | write_size) != 0);
         next_tick_ = group_retired_ + 1;
       }
       switch (record.kind) {

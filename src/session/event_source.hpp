@@ -104,9 +104,10 @@ class LiveEngineSource final : public EventSource {
 ///
 /// Attribution is re-derived from the recorded enter/ret events — the
 /// pre-attributed kernel fields in the records are ignored — so a trace can
-/// replay under any library policy. One caveat: predicated-off instructions
-/// leave no records, so replayed TickEvents carry zero operand widths for
-/// them (see docs/FORMATS.md, "Replaying full profiles").
+/// replay under any library policy. Ticks are delivered as batched runs, as
+/// live. One caveat: predicated-off instructions leave no records, so the
+/// replayed runs do not count them as memory-operand ticks (see
+/// docs/FORMATS.md, "Replaying full profiles").
 class TraceReplaySource final : public EventSource {
  public:
   TraceReplaySource(std::span<const std::uint8_t> bytes, const vm::Program& program,

@@ -8,12 +8,20 @@
 // access. Tools implement AnalysisConsumer and do pure accounting — no tool
 // maintains its own CallStack or re-derives stack classification.
 //
+// Accesses arrive in batches (AnalysisConsumer::on_access_batch), one call
+// per attribution span rather than one per access. A batch holds
+// 1..kAccessBatchCapacity accesses of one function under one kernel, in
+// execution order, and is delivered before any later event of another
+// kind, so the flattened stream is exactly the per-access stream.
+//
 // This header is intentionally self-contained (no tq_session link
 // dependency): the tool libraries implement the interface without linking
 // the session layer, and the session layer links the tools.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "tquad/callstack.hpp"
 #include "vm/run_outcome.hpp"
@@ -56,6 +64,9 @@ struct AccessEvent {
   bool is_prefetch = false;  ///< prefetch touch (reads only)
 };
 
+/// Most accesses one AnalysisConsumer::on_access_batch call carries.
+inline constexpr std::size_t kAccessBatchCapacity = 256;
+
 /// A run of `count` consecutive ticks sharing one attribution state: one
 /// function, one kernel, retired counters `first_retired` .. `first_retired
 /// + count - 1`. The attribution layer accumulates ticks into runs and
@@ -90,6 +101,7 @@ struct RetEvent {
 /// (on_tick_run, at the next attribution boundary — possibly after the
 /// access events of the instructions it covers). Accounting that needs a
 /// per-tick stream position must come from on_access/on_kernel_* events.
+/// Accesses arrive through on_access_batch; see its contract.
 class AnalysisConsumer {
  public:
   /// Event kinds a consumer subscribes to (see event_interests()).
@@ -114,6 +126,17 @@ class AnalysisConsumer {
   virtual void on_tick(const TickEvent& event) { (void)event; }
   virtual void on_access(const AccessEvent& event) { (void)event; }
   virtual void on_kernel_ret(const RetEvent& event) { (void)event; }
+
+  /// A batch of accesses, the only way the attribution layer delivers them.
+  /// Contract: the batch is non-empty, holds at most kAccessBatchCapacity
+  /// events, all of one `func` and one `kernel`, in execution order; no
+  /// event of another kind falls between them, and the batch arrives before
+  /// any event that happened after its last access. Hot tools override this
+  /// with the kernel check hoisted out of the loop. The default hands each
+  /// event to on_access, in order.
+  virtual void on_access_batch(std::span<const AccessEvent> batch) {
+    for (const AccessEvent& event : batch) on_access(event);
+  }
 
   /// A batched tick run (see TickRunEvent): tool totals must come out as
   /// if on_tick() had been called `run.count` times with consecutive

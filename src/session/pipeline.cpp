@@ -1,6 +1,7 @@
 #include "session/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -280,7 +281,9 @@ class LaneBase : public AnalysisConsumer {
 // ---------------------------------------------------------------------------
 // EventLane: the general consumer lane. Forwards every subscribed event kind
 // through one channel; on_finish flushes, closes, waits for the drain, then
-// lets the target see the outcome on the publisher thread.
+// lets the target see the outcome on the publisher thread. Access batches
+// ride the channel as single kAccess events; the worker regroups each run
+// of them into batches that keep the on_access_batch contract.
 
 class EventLane final : public LaneBase, public Drainable {
  public:
@@ -304,8 +307,13 @@ class EventLane final : public LaneBase, public Drainable {
     slot.u.run = run;
   }
   void on_access(const AccessEvent& event) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kAccess);
-    slot.u.access = event;
+    on_access_batch({&event, 1});
+  }
+  void on_access_batch(std::span<const AccessEvent> batch) override {
+    for (const AccessEvent& event : batch) {
+      PipelineEvent& slot = append(PipelineEvent::Kind::kAccess);
+      slot.u.access = event;
+    }
   }
   void on_kernel_ret(const RetEvent& event) override {
     PipelineEvent& slot = append(PipelineEvent::Kind::kRet);
@@ -362,7 +370,27 @@ class EventLane final : public LaneBase, public Drainable {
   }
 
   void apply(const Batch& batch) {
+    // A run of kAccess events is handed over as access batches: split where
+    // the func or kernel changes and at the capacity, so each one keeps the
+    // on_access_batch contract whatever the channel's batch boundaries.
+    std::size_t pending = 0;
+    auto flush_accesses = [&] {
+      if (pending == 0) return;
+      target_.on_access_batch({accesses_.data(), pending});
+      pending = 0;
+    };
     for (const PipelineEvent& event : batch) {
+      if (event.kind == PipelineEvent::Kind::kAccess) {
+        const AccessEvent& access = event.u.access;
+        if (pending != 0 && (pending == accesses_.size() ||
+                             accesses_[0].func != access.func ||
+                             accesses_[0].kernel != access.kernel)) {
+          flush_accesses();
+        }
+        accesses_[pending++] = access;
+        continue;
+      }
+      flush_accesses();
       switch (event.kind) {
         case PipelineEvent::Kind::kEnter:
           target_.on_kernel_enter(event.u.enter);
@@ -374,8 +402,7 @@ class EventLane final : public LaneBase, public Drainable {
           target_.on_tick_run(event.u.run);
           break;
         case PipelineEvent::Kind::kAccess:
-          target_.on_access(event.u.access);
-          break;
+          break;  // batched above
         case PipelineEvent::Kind::kRet:
           target_.on_kernel_ret(event.u.ret);
           break;
@@ -384,11 +411,13 @@ class EventLane final : public LaneBase, public Drainable {
           break;
       }
     }
+    flush_accesses();
   }
 
   AnalysisConsumer& target_;
   const unsigned interests_;
   BatchChannel<PipelineEvent> channel_;
+  std::array<AccessEvent, kAccessBatchCapacity> accesses_;  ///< worker only
 };
 
 // ---------------------------------------------------------------------------
@@ -458,30 +487,9 @@ class ShardedAccessLane final : public LaneBase {
   // -- publisher side --
   unsigned event_interests() const override { return kAccessInterest; }
 
-  void on_access(const AccessEvent& event) override {
-    const std::uint64_t last =
-        event.ea + (event.size > 0 ? event.size - 1 : 0);
-    if ((event.ea >> kPageBits) == (last >> kPageBits)) {
-      append(shard_of(event.ea), event, true);
-      return;
-    }
-    // Page-crossing access: split into per-page pieces so every shard only
-    // ever touches its own pages. The per-access counter travels with the
-    // first piece only.
-    AccessEvent piece = event;
-    std::uint64_t cursor = event.ea;
-    std::uint64_t remaining = event.size;
-    bool first = true;
-    while (remaining > 0) {
-      const std::uint64_t page_end = ((cursor >> kPageBits) + 1) << kPageBits;
-      const std::uint64_t in_page = std::min(remaining, page_end - cursor);
-      piece.ea = cursor;
-      piece.size = static_cast<std::uint32_t>(in_page);
-      append(shard_of(cursor), piece, first);
-      first = false;
-      cursor += in_page;
-      remaining -= in_page;
-    }
+  void on_access(const AccessEvent& event) override { route(event); }
+  void on_access_batch(std::span<const AccessEvent> batch) override {
+    for (const AccessEvent& event : batch) route(event);
   }
 
   void on_finish(const vm::RunOutcome&) override {
@@ -512,6 +520,32 @@ class ShardedAccessLane final : public LaneBase {
   }
 
  private:
+  void route(const AccessEvent& event) {
+    const std::uint64_t last =
+        event.ea + (event.size > 0 ? event.size - 1 : 0);
+    if ((event.ea >> kPageBits) == (last >> kPageBits)) {
+      append(shard_of(event.ea), event, true);
+      return;
+    }
+    // Page-crossing access: split into per-page pieces so every shard only
+    // ever touches its own pages. The per-access counter travels with the
+    // first piece only.
+    AccessEvent piece = event;
+    std::uint64_t cursor = event.ea;
+    std::uint64_t remaining = event.size;
+    bool first = true;
+    while (remaining > 0) {
+      const std::uint64_t page_end = ((cursor >> kPageBits) + 1) << kPageBits;
+      const std::uint64_t in_page = std::min(remaining, page_end - cursor);
+      piece.ea = cursor;
+      piece.size = static_cast<std::uint32_t>(in_page);
+      append(shard_of(cursor), piece, first);
+      first = false;
+      cursor += in_page;
+      remaining -= in_page;
+    }
+  }
+
   unsigned shard_of(std::uint64_t ea) const noexcept {
     return static_cast<unsigned>((ea >> kPageBits) % shards_.size());
   }

@@ -6,7 +6,9 @@
 // fixed-capacity SPSC ring, drained by a worker thread that replays them
 // into the real tool. Per-consumer event order is exactly the serial order,
 // and each tool's state is touched by exactly one thread, so reports come
-// out byte-identical to the serial single pass.
+// out byte-identical to the serial single pass. Access batches travel as
+// single events and are regrouped on the worker into batches that keep the
+// on_access_batch contract (one func, one kernel, at most the capacity).
 //
 // The heaviest consumer, QUAD, additionally shards its per-address state:
 // access events are routed to N shard rings by 4 KiB page number (events

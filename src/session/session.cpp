@@ -126,6 +126,7 @@ void ProfileSession::publish_metrics() {
   registry.add("session.events.tick", counts.ticks);
   registry.add("session.events.tick_run", counts.tick_runs);
   registry.add("session.events.access", counts.accesses);
+  registry.add("session.events.access_batch", counts.access_batches);
   registry.add("session.events.ret", counts.rets);
   registry.set_gauge("session.retired", outcome_.retired);
   registry.set_gauge("session.consumers",

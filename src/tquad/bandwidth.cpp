@@ -1,5 +1,6 @@
 #include "tquad/bandwidth.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace tq::tquad {
@@ -32,49 +33,40 @@ BandwidthRecorder::BandwidthRecorder(std::size_t kernel_count,
                                      std::uint64_t slice_interval)
     : kernels_(kernel_count), open_(kernel_count), slice_interval_(slice_interval) {
   TQUAD_CHECK(slice_interval_ > 0, "slice interval must be positive");
+  // Start on slice 0, whose window needs no division.
+  window_span_ = slice_interval_ - 1;
 }
 
-void BandwidthRecorder::on_access(std::uint32_t kernel, std::uint64_t retired,
-                                  std::uint32_t bytes, bool is_read, bool is_stack) {
-  TQUAD_DCHECK(kernel < kernels_.size(), "kernel id out of range");
-  TQUAD_DCHECK(!finished_, "access after finish()");
-  const std::uint64_t slice = retired / slice_interval_;
-  max_slice_ = std::max(max_slice_, slice);
+void BandwidthRecorder::move_window(std::uint64_t retired) {
+  slice_ = retired / slice_interval_;
+  window_start_ = slice_ * slice_interval_;
+  window_span_ = std::min<std::uint64_t>(slice_interval_ - 1, ~window_start_);
+  max_slice_ = std::max(max_slice_, slice_);
+}
+
+void BandwidthRecorder::flush_open(std::uint32_t kernel) {
+  // No slice test: kNone is also slice 2^64 - 1 (interval 1), and a slice
+  // that was never opened has empty counters.
   Open& open = open_[kernel];
-  if (open.slice != slice) {
-    if (open.slice != Open::kNone && !open.counters.empty()) {
-      kernels_[kernel].series.push_back(SliceSample{open.slice, open.counters});
-    }
-    open.slice = slice;
-    open.counters.clear();
-  }
-  if (is_read) {
-    open.counters.read_incl += bytes;
-    if (!is_stack) open.counters.read_excl += bytes;
-  } else {
-    open.counters.write_incl += bytes;
-    if (!is_stack) open.counters.write_excl += bytes;
-  }
-  auto& totals = kernels_[kernel].totals;
-  if (is_read) {
-    totals.read_incl += bytes;
-    if (!is_stack) totals.read_excl += bytes;
-  } else {
-    totals.write_incl += bytes;
-    if (!is_stack) totals.write_excl += bytes;
-  }
+  if (open.counters.empty()) return;
+  kernels_[kernel].series.push_back(SliceSample{open.slice, open.counters});
+  kernels_[kernel].totals.merge(open.counters);
+}
+
+void BandwidthRecorder::open_slice(std::uint32_t kernel) {
+  flush_open(kernel);
+  Open& open = open_[kernel];
+  open.slice = slice_;
+  open.counters.clear();
 }
 
 void BandwidthRecorder::finish() {
   if (finished_) return;
   finished_ = true;
   for (std::size_t k = 0; k < kernels_.size(); ++k) {
-    Open& open = open_[k];
-    if (open.slice != Open::kNone && !open.counters.empty()) {
-      kernels_[k].series.push_back(SliceSample{open.slice, open.counters});
-    }
-    open.slice = Open::kNone;
-    open.counters.clear();
+    flush_open(static_cast<std::uint32_t>(k));
+    open_[k].slice = Open::kNone;
+    open_[k].counters.clear();
   }
 }
 

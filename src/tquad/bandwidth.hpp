@@ -10,6 +10,10 @@
 // Storage is sparse: kernels accumulate into a current-slice buffer that is
 // flushed into a (slice, counters) series when the slice advances — memory
 // stays proportional to *active* kernel-slices, not to kernels × slices.
+//
+// The per-access path divides nothing: the recorder caches the current
+// slice's window [start, start + interval) and recomputes it only when an
+// access falls outside, and lifetime totals grow by whole flushed slices.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +53,7 @@ struct SliceSample {
 /// Per-kernel bandwidth series plus lifetime totals.
 struct KernelBandwidth {
   std::vector<SliceSample> series;  ///< ascending by slice; only active slices
-  SliceCounters totals;
+  SliceCounters totals;  ///< the sum of `series` (complete after finish())
 
   std::uint64_t first_active_slice() const noexcept {
     return series.empty() ? 0 : series.front().slice;
@@ -80,9 +84,24 @@ class BandwidthRecorder {
   /// Account a memory access of `bytes` by `kernel` at instruction-time
   /// `retired`. `is_stack` follows the SP-relative classification.
   void on_access(std::uint32_t kernel, std::uint64_t retired, std::uint32_t bytes,
-                 bool is_read, bool is_stack);
+                 bool is_read, bool is_stack) {
+    TQUAD_DCHECK(kernel < kernels_.size(), "kernel id out of range");
+    TQUAD_DCHECK(!finished_, "access after finish()");
+    // Unsigned wrap sends a `retired` below the window start past the span.
+    if (retired - window_start_ > window_span_) [[unlikely]] move_window(retired);
+    Open& open = open_[kernel];
+    if (open.slice != slice_) [[unlikely]] open_slice(kernel);
+    if (is_read) {
+      open.counters.read_incl += bytes;
+      if (!is_stack) open.counters.read_excl += bytes;
+    } else {
+      open.counters.write_incl += bytes;
+      if (!is_stack) open.counters.write_excl += bytes;
+    }
+  }
 
-  /// Flush all open slice buffers; call once at program end.
+  /// Flush all open slice buffers; call once at program end. The series
+  /// and totals are complete only after this.
   void finish();
 
   const KernelBandwidth& kernel(std::uint32_t id) const {
@@ -101,10 +120,23 @@ class BandwidthRecorder {
     static constexpr std::uint64_t kNone = ~0ull;
   };
 
+  /// Make `retired`'s slice the current one (the only division).
+  void move_window(std::uint64_t retired);
+  /// Flush `kernel`'s open slice into its series and totals, then open the
+  /// current slice for it.
+  void open_slice(std::uint32_t kernel);
+  /// Append a non-empty open slice to the series and add it to the totals.
+  void flush_open(std::uint32_t kernel);
+
   std::vector<KernelBandwidth> kernels_;
   std::vector<Open> open_;
   std::uint64_t slice_interval_;
   std::uint64_t max_slice_ = 0;
+  // The current slice and its window [window_start_, window_start_ +
+  // window_span_], the span clipped so the window's end never wraps.
+  std::uint64_t slice_ = 0;
+  std::uint64_t window_start_ = 0;
+  std::uint64_t window_span_ = 0;
   bool finished_ = false;
 };
 

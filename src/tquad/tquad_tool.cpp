@@ -129,11 +129,22 @@ void TQuadTool::on_tick_run(const session::TickRunEvent& run) {
   }
 }
 
-void TQuadTool::on_access(const session::AccessEvent& event) {
-  if (event.is_prefetch && !options_.count_prefetch) return;
-  if (event.kernel == kNoKernel) return;
-  account_access(event.kernel, event.retired, event.size, event.is_read,
-                 event.is_stack);
+void TQuadTool::on_access_batch(std::span<const session::AccessEvent> batch) {
+  // One kernel per batch (the AnalysisConsumer contract).
+  if (batch.empty() || batch.front().kernel == kNoKernel) return;
+  const std::uint32_t kernel = batch.front().kernel;
+  if (options_.count_prefetch) {
+    for (const session::AccessEvent& event : batch) {
+      account_access(kernel, event.retired, event.size, event.is_read,
+                     event.is_stack);
+    }
+    return;
+  }
+  for (const session::AccessEvent& event : batch) {
+    if (event.is_prefetch) continue;
+    account_access(kernel, event.retired, event.size, event.is_read,
+                   event.is_stack);
+  }
 }
 
 void TQuadTool::on_session_end(std::uint64_t total_retired) {

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,7 @@ struct KernelActivity {
 
 /// The tool. Construct before the run (Engine::run() or
 /// ProfileSession::run()); results are valid after it returns.
-class TQuadTool : public session::AnalysisConsumer {
+class TQuadTool final : public session::AnalysisConsumer {
  public:
   /// Standalone mode: registers analysis calls on `engine`.
   TQuadTool(pin::Engine& engine, Options options);
@@ -88,7 +89,10 @@ class TQuadTool : public session::AnalysisConsumer {
   void on_kernel_enter(const session::EnterEvent& event) override;
   void on_tick(const session::TickEvent& event) override;
   void on_tick_run(const session::TickRunEvent& run) override;
-  void on_access(const session::AccessEvent& event) override;
+  void on_access(const session::AccessEvent& event) override {
+    on_access_batch({&event, 1});
+  }
+  void on_access_batch(std::span<const session::AccessEvent> batch) override;
   void on_session_end(std::uint64_t total_retired) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
 

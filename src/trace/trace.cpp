@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <string>
 
 #include "support/check.hpp"
 #include "support/metrics.hpp"
@@ -20,7 +21,26 @@ constexpr std::size_t kV1HeaderBytes = 32;
 
 // ---- Trace serialisation ------------------------------------------------------
 
+void check_encodable(const Record& record, std::uint32_t kernel_count,
+                     const char* format) {
+  const char* why = nullptr;
+  if (static_cast<std::uint8_t>(record.kind) >
+      static_cast<std::uint8_t>(EventKind::kWrite)) {
+    why = "record kind out of range";
+  } else if (record.flags & ~v2_coding::kDefinedFlags) {
+    why = "undefined flag bits are not representable";
+  } else if (record.reserved != 0) {
+    why = "nonzero reserved byte is not representable";
+  } else if (record.kernel != kNoKernel16 && record.kernel >= kernel_count) {
+    why = "record kernel id out of range";
+  }
+  if (why != nullptr) TQUAD_THROW(std::string(format) + ": " + why);
+}
+
 std::vector<std::uint8_t> Trace::serialize() const {
+  for (const Record& record : records) {
+    check_encodable(record, kernel_count, "TQTR v1");
+  }
   std::vector<std::uint8_t> out;
   out.reserve(kV1HeaderBytes + records.size() * kRecordDiskBytes);
   wire::put_u32(out, kMagic);
@@ -39,7 +59,7 @@ std::vector<std::uint8_t> Trace::serialize() const {
     wire::put_u8(out, static_cast<std::uint8_t>(record.kind));
     wire::put_u8(out, record.size);
     wire::put_u8(out, record.flags);
-    wire::put_u8(out, 0);  // reserved
+    wire::put_u8(out, record.reserved);  // 0, checked above
   }
   return out;
 }
@@ -224,18 +244,23 @@ void TraceRecorder::on_kernel_enter(const session::EnterEvent& event) {
   push(record);
 }
 
-void TraceRecorder::on_access(const session::AccessEvent& event) {
+void TraceRecorder::on_access_batch(std::span<const session::AccessEvent> batch) {
+  if (batch.empty()) return;
   Record record{};
-  record.retired = event.retired;
-  record.ea = event.ea;
-  record.pc = event.pc;
-  record.kernel = kernel16(event.kernel);
-  record.func = static_cast<std::uint16_t>(event.func);
-  record.kind = event.is_read ? EventKind::kRead : EventKind::kWrite;
-  record.size = static_cast<std::uint8_t>(event.size);
-  if (event.is_stack) record.flags |= kFlagStackArea;
-  if (event.is_prefetch) record.flags |= kFlagPrefetch;
-  push(record);
+  // One kernel per batch (the AnalysisConsumer contract).
+  record.kernel = kernel16(batch.front().kernel);
+  for (const session::AccessEvent& event : batch) {
+    record.retired = event.retired;
+    record.ea = event.ea;
+    record.pc = event.pc;
+    record.func = static_cast<std::uint16_t>(event.func);
+    record.kind = event.is_read ? EventKind::kRead : EventKind::kWrite;
+    record.size = static_cast<std::uint8_t>(event.size);
+    record.flags = static_cast<std::uint8_t>(
+        (event.is_stack ? kFlagStackArea : 0) |
+        (event.is_prefetch ? kFlagPrefetch : 0));
+    push(record);
+  }
 }
 
 void TraceRecorder::on_kernel_ret(const session::RetEvent& event) {

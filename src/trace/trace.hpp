@@ -65,7 +65,7 @@ struct Record {
   EventKind kind;
   std::uint8_t size;      ///< access width in bytes
   std::uint8_t flags;     ///< kFlag* bits
-  std::uint8_t reserved;  ///< must be 0: decoders reject and the v2 writer refuses others
+  std::uint8_t reserved;  ///< must be 0: decoders reject and writers refuse others
 };
 
 /// On-disk size of one v1 record: the packed field sizes, independent of
@@ -81,6 +81,14 @@ static_assert(std::is_trivially_copyable_v<Record>, "Record must stay POD");
 
 inline constexpr std::uint16_t kNoKernel16 = 0xffff;
 
+/// Throws tq::Error, its message prefixed with `format` ("TQTR v1" or
+/// "TQTR v2"), if `record` breaks a rule every TQTR decoder checks: a kind
+/// above kWrite, flag bits outside the kFlag* set, a nonzero reserved byte,
+/// or a kernel id neither below `kernel_count` nor kNoKernel16. Both
+/// writers refuse such records, so neither writes what its decoder rejects.
+void check_encodable(const Record& record, std::uint32_t kernel_count,
+                     const char* format);
+
 /// On-disk trace container formats (the version field of the shared "TQTR"
 /// magic). Readers auto-detect; writers pick via this enum.
 enum class TraceFormat : std::uint32_t {
@@ -95,7 +103,11 @@ struct Trace {
   std::uint32_t kernel_count = 0;
 
   /// Serialise to the flat TQTR v1 byte format (field-by-field; see
-  /// serialize_v2() in trace_v2.hpp for the compressed container).
+  /// serialize_v2() in trace_v2.hpp for the compressed container). Throws
+  /// tq::Error, returning nothing, if a record is one deserialize() would
+  /// reject: a kind above kWrite, undefined flag bits, a nonzero reserved
+  /// byte, or a kernel id that is neither below `kernel_count` nor
+  /// kNoKernel16.
   std::vector<std::uint8_t> serialize() const;
 
   /// Decode a TQTR image of either version, auto-detected from the header
@@ -141,7 +153,10 @@ class TraceRecorder final : public vm::ExecListener,
     return kEnterInterest | kAccessInterest | kRetInterest;
   }
   void on_kernel_enter(const session::EnterEvent& event) override;
-  void on_access(const session::AccessEvent& event) override;
+  void on_access(const session::AccessEvent& event) override {
+    on_access_batch({&event, 1});
+  }
+  void on_access_batch(std::span<const session::AccessEvent> batch) override;
   void on_kernel_ret(const session::RetEvent& event) override;
   void on_session_end(std::uint64_t total_retired) override;
   void on_finish(const vm::RunOutcome& outcome) override;

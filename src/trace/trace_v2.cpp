@@ -57,7 +57,7 @@ bool is_v2_image(std::span<const std::uint8_t> bytes) noexcept {
 
 TraceV2Writer::TraceV2Writer(std::uint32_t kernel_count, std::uint32_t block_capacity,
                              std::uint32_t minor)
-    : block_capacity_(block_capacity), minor_(minor) {
+    : kernel_count_(kernel_count), block_capacity_(block_capacity), minor_(minor) {
   TQUAD_CHECK(block_capacity_ >= 1 && block_capacity_ <= kMaxBlockCapacity,
               "TQTR v2 block capacity out of range");
   TQUAD_CHECK(minor_ <= kV2MinorCrc, "TQTR v2 minor version out of range");
@@ -72,15 +72,10 @@ TraceV2Writer::TraceV2Writer(std::uint32_t kernel_count, std::uint32_t block_cap
   wire::put_u64(out_, 0);
 }
 
-void TraceV2Writer::reject(std::uint8_t kind, std::uint8_t flags) const {
+void TraceV2Writer::reject(const Record& record) const {
   TQUAD_CHECK(!finished_, "TraceV2Writer reused after finish()");
-  if (kind > static_cast<std::uint8_t>(EventKind::kWrite)) {
-    TQUAD_THROW("TQTR v2: record kind out of range");
-  }
-  if (flags & ~v2_coding::kDefinedFlags) {
-    TQUAD_THROW("TQTR v2: undefined flag bits are not representable");
-  }
-  TQUAD_THROW("TQTR v2: nonzero reserved byte is not representable");
+  check_encodable(record, kernel_count_, "TQTR v2");
+  TQUAD_CHECK(false, "TraceV2Writer::add rejected an encodable record");
 }
 
 void TraceV2Writer::grow_payload() {

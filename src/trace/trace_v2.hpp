@@ -140,10 +140,12 @@ class TraceV2Writer {
                          std::uint32_t block_capacity = kDefaultBlockCapacity,
                          std::uint32_t minor = kV2MinorCrc);
 
-  /// Append one record. Throws tq::Error if the record is not representable
-  /// (flag bits outside the defined set, out-of-range kind, nonzero
-  /// reserved byte). Forced inline: this is the recorder's per-event path,
-  /// and at its size the compiler would otherwise keep it out of line.
+  /// Append one record. Throws tq::Error, writing nothing, for exactly the
+  /// records TraceV2View rejects: flag bits outside the defined set, an
+  /// out-of-range kind, a nonzero reserved byte, or a kernel id that is
+  /// neither below `kernel_count` nor kNoKernel16 (see check_encodable).
+  /// Forced inline: this is the recorder's per-event path, and at its size
+  /// the compiler would otherwise keep it out of line.
   [[gnu::always_inline]] void add(const Record& record);
 
   /// Seal the file: flush the open block, append the index, patch the
@@ -157,10 +159,11 @@ class TraceV2Writer {
 
  private:
   /// Throws the error for the check add() failed.
-  [[noreturn]] void reject(std::uint8_t kind, std::uint8_t flags) const;
+  [[noreturn]] void reject(const Record& record) const;
   void grow_payload();
   void flush_block();
 
+  std::uint32_t kernel_count_;
   std::uint32_t block_capacity_;
   std::uint32_t minor_;
   std::vector<std::uint8_t> out_;      ///< finished header + flushed blocks
@@ -190,8 +193,10 @@ inline void TraceV2Writer::add(const Record& record) {
   using namespace v2_coding;
   const auto kind = static_cast<std::uint8_t>(record.kind);
   if (finished_ || kind > static_cast<std::uint8_t>(EventKind::kWrite) ||
-      (record.flags & ~kDefinedFlags) != 0 || record.reserved != 0) [[unlikely]] {
-    reject(kind, record.flags);
+      (record.flags & ~kDefinedFlags) != 0 || record.reserved != 0 ||
+      (record.kernel >= kernel_count_ && record.kernel != kNoKernel16))
+      [[unlikely]] {
+    reject(record);
   }
   // One check per record: after it, any record fits without another.
   if (payload_.size() - payload_used_ < kMaxRecordBytes) [[unlikely]] {

@@ -248,13 +248,38 @@ RunOutcome CompiledMachine::start(ProbeProvider* probes, EventSink* sink) {
     TQ_NEXT();                                                         \
   }
 
-// Flush the pending tick span (kSinked) at an attribution boundary. Spans
-// only ever break here, so the next span's first-retired stamp is assigned
-// once per flush instead of branching on span_count every tick: every flush
-// site sits after the current op retired (call/ret) or is terminal
-// (halt/stop/trap), so `retired` IS the next tick's retire index.
+// Buffer one access of the current op (kSinked; the record's retired
+// stamp is the op's own, `retired` having already counted it). A full
+// buffer goes out at once, mid-span; the rest goes out at the next flush.
+#define TQ_ACCESS(addr, width, read, stack, prefetch)                  \
+  {                                                                    \
+    AccessRecord& rec = accesses[access_count];                        \
+    rec.retired = retired - 1;                                         \
+    rec.ea = (addr);                                                   \
+    rec.pc = op->pc;                                                   \
+    rec.size = (width);                                                \
+    rec.is_read = (read);                                              \
+    rec.is_stack = (stack);                                            \
+    rec.is_prefetch = (prefetch);                                      \
+    if (++access_count == kAccessBatchCapacity) [[unlikely]] {         \
+      sink->on_accesses(cur_func, {accesses, access_count});           \
+      access_count = 0;                                                \
+    }                                                                  \
+  }
+
+// Flush the buffered accesses, then the pending tick span (kSinked), at an
+// attribution boundary. Accesses always go first, so the sink sees them
+// before the span that covers their instructions, as it would per event.
+// Spans only ever break here, so the next span's first-retired stamp is
+// assigned once per flush instead of branching on span_count every tick:
+// every flush site sits after the current op retired (call/ret) or is
+// terminal (halt/stop/trap), so `retired` IS the next tick's retire index.
 #define TQ_FLUSH_SPAN()                                               \
   if constexpr (M == Mode::kSinked) {                                 \
+    if (access_count != 0) {                                          \
+      sink->on_accesses(cur_func, {accesses, access_count});          \
+      access_count = 0;                                               \
+    }                                                                 \
     if (span_count != 0) {                                            \
       sink->on_tick_span(cur_func, span_start, span_count, span_mem); \
       span_count = 0;                                                 \
@@ -303,6 +328,10 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
   std::uint64_t span_start = 0;
   std::uint64_t span_count = 0;
   std::uint64_t span_mem = 0;
+  // The access buffer (kSinked): records [0, access_count) are pending.
+  AccessRecord accesses[kAccessBatchCapacity];
+  std::size_t access_count = 0;
+  (void)accesses;
   const CompiledRoutine* rtn = nullptr;
   const COp* ops = nullptr;
   const std::uint32_t* pc2op = nullptr;
@@ -444,8 +473,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE(ea, op->size, 0, 0, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
-                        is_stack_addr(ea, r[isa::kSp]), false);
+        TQ_ACCESS(ea, op->size, true, is_stack_addr(ea, r[isa::kSp]), false)
       }
       r[op->rd] = memory_.load(ea, op->size);
       ++i;
@@ -456,8 +484,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE(ea, op->size, 0, 0, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
-                        is_stack_addr(ea, r[isa::kSp]), false);
+        TQ_ACCESS(ea, op->size, true, is_stack_addr(ea, r[isa::kSp]), false)
       }
       std::uint64_t value = memory_.load(ea, op->size);
       const unsigned bits = op->size * 8u;
@@ -473,8 +500,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE(0, 0, ea, op->size, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
-                        is_stack_addr(ea, r[isa::kSp]), false);
+        TQ_ACCESS(ea, op->size, false, is_stack_addr(ea, r[isa::kSp]), false)
       }
       memory_.store(ea, r[op->rb], op->size);
       ++i;
@@ -485,8 +511,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE(ea, op->size, 0, 0, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
-                        is_stack_addr(ea, r[isa::kSp]), false);
+        TQ_ACCESS(ea, op->size, true, is_stack_addr(ea, r[isa::kSp]), false)
       }
       f[op->rd] = memory_.load_f64(ea);
       ++i;
@@ -497,8 +522,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE(0, 0, ea, op->size, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
-                        is_stack_addr(ea, r[isa::kSp]), false);
+        TQ_ACCESS(ea, op->size, false, is_stack_addr(ea, r[isa::kSp]), false)
       }
       memory_.store_f64(ea, f[op->rb]);
       ++i;
@@ -509,8 +533,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE(ea, op->size, 0, 0, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
-                        is_stack_addr(ea, r[isa::kSp]), false);
+        TQ_ACCESS(ea, op->size, true, is_stack_addr(ea, r[isa::kSp]), false)
       }
       float value;
       const auto raw = static_cast<std::uint32_t>(memory_.load(ea, 4));
@@ -524,8 +547,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE(0, 0, ea, op->size, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
-                        is_stack_addr(ea, r[isa::kSp]), false);
+        TQ_ACCESS(ea, op->size, false, is_stack_addr(ea, r[isa::kSp]), false)
       }
       const auto value = static_cast<float>(f[op->rb]);
       std::uint32_t raw;
@@ -539,8 +561,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE(ea, op->size, 0, 0, true)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
-                        is_stack_addr(ea, r[isa::kSp]), true);
+        TQ_ACCESS(ea, op->size, true, is_stack_addr(ea, r[isa::kSp]), true)
       }
       // Architecturally a no-op; only the event matters.
       ++i;
@@ -552,10 +573,8 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t wea = r[op->rd];
       TQ_PRE(rea, op->size, wea, op->size, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, rea, op->size, true,
-                        is_stack_addr(rea, r[isa::kSp]), false);
-        sink->on_access(cur_func, op->pc, retired - 1, wea, op->size, false,
-                        is_stack_addr(wea, r[isa::kSp]), false);
+        TQ_ACCESS(rea, op->size, true, is_stack_addr(rea, r[isa::kSp]), false)
+        TQ_ACCESS(wea, op->size, false, is_stack_addr(wea, r[isa::kSp]), false)
       }
       std::uint8_t buf[64];
       TQUAD_DCHECK(op->size <= sizeof buf, "movs size out of range");
@@ -592,8 +611,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t wea = sp_before - 8;
       TQ_PRE(0, 0, wea, 8, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, wea, 8, false,
-                        is_stack_addr(wea, sp_before), false);
+        TQ_ACCESS(wea, 8, false, is_stack_addr(wea, sp_before), false)
       }
       const std::uint64_t ret_addr =
           (static_cast<std::uint64_t>(cur_func) << 32) | (op->pc + 1);
@@ -620,8 +638,8 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       const std::uint64_t sp_before = r[isa::kSp];
       TQ_PRE(sp_before, 8, 0, 0, false)
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, sp_before, 8, true,
-                        is_stack_addr(sp_before, sp_before), false);
+        TQ_ACCESS(sp_before, 8, true, is_stack_addr(sp_before, sp_before),
+                  false)
         TQ_FLUSH_SPAN()
         sink->on_ret(cur_func, op->pc, retired - 1);
       }
@@ -810,6 +828,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
 #undef TQ_HEAD
 #undef TQ_MID
 #undef TQ_PRE
+#undef TQ_ACCESS
 #undef TQ_FLUSH_SPAN
 #undef TQ_SET_ROUTINE
 #undef TQ_ALU

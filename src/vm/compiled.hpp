@@ -12,8 +12,9 @@
 //     synthetic trailing op materialises the "pc past end of function" trap
 //     so the loop needs no per-instruction bounds check;
 //   * batched memory-event emission (EventSink mode): per-instruction ticks
-//     accumulate into spans flushed at attribution boundaries, with the
-//     SP/stack-range classification inlined at the access site.
+//     accumulate into spans flushed at attribution boundaries, and accesses
+//     into a fixed AccessRecord buffer handed over one batch per call, with
+//     the SP/stack-range classification inlined at the access site.
 //
 // Observable behaviour is byte-identical to vm::Machine: event order,
 // instruction budgets, FaultPlan triggers, trap messages and RunOutcome all

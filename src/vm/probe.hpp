@@ -14,12 +14,15 @@
 //   * ProbeProvider           — hands the engine a routine's finalized
 //     tables on its first dynamic entry (the instrument-once lifecycle);
 //   * EventSink               — the session fast path: instead of per-
-//     instruction probes, the engine batches tick spans and emits accesses /
-//     enters / returns directly, in exactly the order the interpreter-backed
-//     trampolines would have produced.
+//     instruction probes, the engine batches tick spans, buffers accesses
+//     into fixed AccessRecord batches and emits enters / returns directly,
+//     in exactly the order the interpreter-backed trampolines would have
+//     produced.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,11 +95,30 @@ class ProbeProvider {
   virtual void on_end(std::uint64_t retired) = 0;
 };
 
+/// One executed architectural access as the compiled engine buffers it. The
+/// executing function is the same for every record of a batch and travels
+/// with the batch (EventSink::on_accesses).
+struct AccessRecord {
+  std::uint64_t retired = 0;  ///< instructions retired before this one
+  std::uint64_t ea = 0;       ///< effective byte address
+  std::uint32_t pc = 0;       ///< instruction index within the function
+  std::uint32_t size = 0;     ///< access width in bytes
+  bool is_read = false;
+  bool is_stack = false;      ///< hits the local stack area (is_stack_addr)
+  bool is_prefetch = false;
+};
+
+/// Records the compiled engine buffers before it hands them to the sink.
+inline constexpr std::size_t kAccessBatchCapacity = 256;
+
 /// The session fast path: raw profiling events batched at attribution
 /// granularity. The compiled engine accumulates the per-instruction ticks
 /// between two attribution boundaries (routine entry / return / end of run)
-/// into one span and emits accesses individually, preserving the exact
-/// event order of the interpreter-backed trampolines.
+/// into one span, and the accesses of that span into a fixed buffer of
+/// kAccessBatchCapacity records. The buffer goes out through on_accesses
+/// when it is full and at every span flush — always before the span's
+/// on_tick_span — so the order the sink observes is the exact event order
+/// of the interpreter-backed trampolines.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -110,11 +132,10 @@ class EventSink {
   virtual void on_tick_span(std::uint32_t func, std::uint64_t first_retired,
                             std::uint64_t count, std::uint64_t mem_count) = 0;
 
-  /// One executed architectural access (reads delivered before writes).
-  virtual void on_access(std::uint32_t func, std::uint32_t pc,
-                         std::uint64_t retired, std::uint64_t ea,
-                         std::uint32_t size, bool is_read, bool is_stack,
-                         bool is_prefetch) = 0;
+  /// 1..kAccessBatchCapacity executed architectural accesses of `func`, in
+  /// execution order (within one instruction, reads before writes).
+  virtual void on_accesses(std::uint32_t func,
+                           std::span<const AccessRecord> batch) = 0;
 
   /// An executed return (fires after its return-address-pop access).
   virtual void on_ret(std::uint32_t func, std::uint32_t pc,

@@ -117,6 +117,8 @@ for section in ("counters", "gauges", "histograms"):
     assert section in m, section
 c = m["counters"]
 assert c["session.events.access"] > 0, c
+# Accesses reach the consumers in batches: at least one, at most one each.
+assert 0 < c["session.events.access_batch"] <= c["session.events.access"], c
 assert c["trace.write.records"] > 0, c
 assert c["trace.write.bytes"] > 0, c
 assert m["gauges"]["session.retired"]["value"] > 0, m["gauges"]
@@ -216,6 +218,8 @@ for k in m["kernels"]:
 assert total == m["total_accesses"], (total, m["total_accesses"])
 metrics = json.load(open("viz_metrics.json"))
 assert total == metrics["counters"]["session.events.access"], total
+batches = metrics["counters"]["session.events.access_batch"]
+assert 0 < batches <= total, (batches, total)
 EOF
 # Heatmap shape: the phase-sharp workload shows one disjoint hot written
 # address range per phase kernel, in distinct time slices.

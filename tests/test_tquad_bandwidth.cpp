@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "support/rng.hpp"
 #include "tquad/bandwidth.hpp"
@@ -264,6 +266,176 @@ TEST(BandwidthStats, KernelEndingBeforeTailUnaffected) {
   const BandwidthStats uniform = bandwidth_stats(rec.kernel(0), 1000);
   EXPECT_DOUBLE_EQ(weighted.avg_read_incl, uniform.avg_read_incl);
   EXPECT_DOUBLE_EQ(weighted.max_rw_incl, uniform.max_rw_incl);
+}
+
+// ---- the slice window against a division-based reference -------------------
+
+/// The recorder as it was written before the slice-window cache: one
+/// division per access, totals grown on every access. The windowed recorder
+/// must match it field for field on any access stream. (The old recorder
+/// also kept an access at slice 2^64 - 1 out of the series, since that
+/// slice equals its "no open slice" tag; both sides count it now.)
+class DividingRecorder {
+ public:
+  DividingRecorder(std::size_t kernels, std::uint64_t interval)
+      : kernels_(kernels), open_(kernels, {kNone, SliceCounters{}}),
+        interval_(interval) {}
+
+  void on_access(std::uint32_t kernel, std::uint64_t retired, std::uint32_t bytes,
+                 bool is_read, bool is_stack) {
+    const std::uint64_t slice = retired / interval_;
+    max_slice_ = std::max(max_slice_, slice);
+    auto& [open_slice, open] = open_[kernel];
+    if (open_slice != slice) {
+      if (!open.empty()) {
+        kernels_[kernel].series.push_back(SliceSample{open_slice, open});
+      }
+      open_slice = slice;
+      open.clear();
+    }
+    SliceCounters add;
+    (is_read ? add.read_incl : add.write_incl) = bytes;
+    if (!is_stack) (is_read ? add.read_excl : add.write_excl) = bytes;
+    open.merge(add);
+    kernels_[kernel].totals.merge(add);
+  }
+
+  void finish() {
+    for (std::size_t k = 0; k < kernels_.size(); ++k) {
+      if (!open_[k].second.empty()) {
+        kernels_[k].series.push_back(SliceSample{open_[k].first, open_[k].second});
+      }
+    }
+  }
+
+  const KernelBandwidth& kernel(std::uint32_t k) const { return kernels_[k]; }
+  std::uint64_t max_slice() const { return max_slice_; }
+
+ private:
+  static constexpr std::uint64_t kNone = ~0ull;
+  std::vector<KernelBandwidth> kernels_;
+  std::vector<std::pair<std::uint64_t, SliceCounters>> open_;  ///< slice, counters
+  std::uint64_t interval_;
+  std::uint64_t max_slice_ = 0;
+};
+
+bool counters_eq(const SliceCounters& a, const SliceCounters& b) {
+  return a.read_incl == b.read_incl && a.read_excl == b.read_excl &&
+         a.write_incl == b.write_incl && a.write_excl == b.write_excl;
+}
+
+/// Drives both recorders with one stream and compares everything.
+void expect_matches_reference(std::uint32_t kernels, std::uint64_t interval,
+                              std::uint64_t seed, int accesses,
+                              std::uint64_t start) {
+  SCOPED_TRACE("interval=" + std::to_string(interval) +
+               " seed=" + std::to_string(seed));
+  SplitMix64 rng(seed);
+  BandwidthRecorder rec(kernels, interval);
+  DividingRecorder ref(kernels, interval);
+  // A few slices' worth of instructions, saturated for huge intervals.
+  const std::uint64_t reach = interval <= ~0ull / 4 ? 4 * interval : ~0ull;
+  std::uint64_t t = start;
+  for (int i = 0; i < accesses; ++i) {
+    switch (rng.next_below(16)) {
+      case 0: t -= rng.next_below(reach); break;  // backwards
+      case 1: t = ~0ull - rng.next_below(reach); break;  // near 2^64
+      case 2: t += rng.next(); break;  // a wild jump, wrapping
+      case 3: t = (t / interval + 1) * interval; break;  // exact boundary
+      case 4: t = (t / interval + 1) * interval - 1; break;  // last of a slice
+      default: t += rng.next_below(4); break;  // many kernels, one slice
+    }
+    const auto kernel = static_cast<std::uint32_t>(rng.next_below(kernels));
+    const auto bytes = static_cast<std::uint32_t>(rng.next_below(65));
+    const bool is_read = rng.next_below(2) == 0;
+    const bool is_stack = rng.next_below(3) == 0;
+    rec.on_access(kernel, t, bytes, is_read, is_stack);
+    ref.on_access(kernel, t, bytes, is_read, is_stack);
+  }
+  rec.finish();
+  ref.finish();
+  EXPECT_EQ(rec.max_slice(), ref.max_slice());
+  for (std::uint32_t k = 0; k < kernels; ++k) {
+    SCOPED_TRACE("kernel=" + std::to_string(k));
+    const KernelBandwidth& got = rec.kernel(k);
+    const KernelBandwidth& want = ref.kernel(k);
+    ASSERT_EQ(got.series.size(), want.series.size());
+    for (std::size_t i = 0; i < got.series.size(); ++i) {
+      ASSERT_EQ(got.series[i].slice, want.series[i].slice) << "sample " << i;
+      ASSERT_TRUE(counters_eq(got.series[i].counters, want.series[i].counters))
+          << "sample " << i;
+    }
+    EXPECT_TRUE(counters_eq(got.totals, want.totals));
+    SliceCounters sum;
+    for (const SliceSample& sample : got.series) sum.merge(sample.counters);
+    EXPECT_TRUE(counters_eq(got.totals, sum));
+  }
+}
+
+class SliceWindowProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SliceWindowProperty, MatchesDivisionBasedReference) {
+  const std::uint64_t interval = GetParam();
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    expect_matches_reference(1 + static_cast<std::uint32_t>(seed % 6), interval,
+                             seed * 0x9e37 + interval, 4000, 0);
+    // The same near the top of the address space of `retired`.
+    expect_matches_reference(4, interval, seed * 0x51ed + interval, 2000,
+                             ~0ull - 5 * interval);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Intervals, SliceWindowProperty,
+                         ::testing::Values(1, 2, 3, 7, 100, 5000,
+                                           (1ull << 63) + 1, ~0ull - 1, ~0ull));
+
+TEST(SliceWindow, LastSliceBelowTwoToTheSixtyFour) {
+  // 2^64 - 1 is not a multiple of 100, so the last slice's window is cut
+  // short at the top of the range; its accesses must still land in it.
+  BandwidthRecorder rec(1, 100);
+  const std::uint64_t top = ~0ull;
+  const std::uint64_t last_start = top / 100 * 100;
+  rec.on_access(0, last_start, 1, true, false);
+  rec.on_access(0, top, 2, true, false);
+  rec.on_access(0, 0, 4, true, false);  // far backwards: slice 0
+  rec.on_access(0, top - 1, 8, false, false);
+  rec.finish();
+  const auto& series = rec.kernel(0).series;
+  ASSERT_EQ(series.size(), 3u);
+  EXPECT_EQ(series[0].slice, top / 100);
+  EXPECT_EQ(series[0].counters.read_incl, 3u);
+  EXPECT_EQ(series[1].slice, 0u);
+  EXPECT_EQ(series[2].slice, top / 100);
+  EXPECT_EQ(series[2].counters.write_incl, 8u);
+  EXPECT_EQ(rec.max_slice(), top / 100);
+  EXPECT_EQ(rec.kernel(0).totals.read_incl, 7u);
+  EXPECT_EQ(rec.kernel(0).totals.write_incl, 8u);
+}
+
+TEST(SliceWindow, TopSliceOfIntervalOneIsRecorded) {
+  // With interval 1 the last slice, 2^64 - 1, is a real slice too.
+  BandwidthRecorder rec(1, 1);
+  rec.on_access(0, ~0ull, 8, true, false);
+  rec.finish();
+  ASSERT_EQ(rec.kernel(0).series.size(), 1u);
+  EXPECT_EQ(rec.kernel(0).series[0].slice, ~0ull);
+  EXPECT_EQ(rec.kernel(0).totals.read_incl, 8u);
+}
+
+TEST(SliceWindow, KernelsAlternatingInOneSlice) {
+  BandwidthRecorder rec(3, 1000);
+  for (std::uint64_t t = 0; t < 999; ++t) {
+    rec.on_access(static_cast<std::uint32_t>(t % 3), t, 1, t % 2 == 0, false);
+  }
+  rec.finish();
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    ASSERT_EQ(rec.kernel(k).series.size(), 1u);
+    EXPECT_EQ(rec.kernel(k).series[0].slice, 0u);
+    const SliceCounters& c = rec.kernel(k).series[0].counters;
+    EXPECT_EQ(c.read_incl + c.write_incl, 333u);
+    EXPECT_TRUE(counters_eq(rec.kernel(k).totals, c));
+  }
+  EXPECT_EQ(rec.max_slice(), 0u);
 }
 
 }  // namespace

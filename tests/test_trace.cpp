@@ -4,6 +4,7 @@
 
 #include "gasm/builder.hpp"
 #include "minipin/minipin.hpp"
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
@@ -137,6 +138,98 @@ TEST(TraceSerialization, RejectsFieldsNoWriterProduces) {
   auto bad_reserved = bytes;
   bad_reserved[record + 27] = 0x01;
   EXPECT_THROW(Trace::deserialize(bad_reserved), Error);
+}
+
+/// A v1 image laid out field by field as docs/FORMATS.md describes it, with
+/// no checks, so the decoder's verdict on any record can be asked for.
+std::vector<std::uint8_t> unchecked_v1(const Trace& trace) {
+  std::vector<std::uint8_t> out;
+  auto put = [&](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put(0x52545154, 4);  // "TQTR"
+  put(1, 4);
+  put(trace.kernel_count, 4);
+  put(kRecordDiskBytes, 4);
+  put(trace.total_retired, 8);
+  put(trace.records.size(), 8);
+  for (const Record& r : trace.records) {
+    put(r.retired, 8);
+    put(r.ea, 8);
+    put(r.pc, 4);
+    put(r.kernel, 2);
+    put(r.func, 2);
+    put(static_cast<std::uint8_t>(r.kind), 1);
+    put(r.size, 1);
+    put(r.flags, 1);
+    put(r.reserved, 1);
+  }
+  return out;
+}
+
+TEST(TraceSerialization, WriterRefusesExactlyWhatTheDecoderRejects) {
+  // Every field the decoder checks, drawn both inside and outside its rule:
+  // kind, flag bits, the reserved byte and the kernel id (kNoKernel16 is
+  // valid, every other id must be below kernel_count).
+  constexpr std::uint32_t kKernels = 5;
+  SplitMix64 rng(0x7e57);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    Record record{};
+    record.retired = rng.next();
+    record.ea = rng.next();
+    record.pc = static_cast<std::uint32_t>(rng.next());
+    record.func = static_cast<std::uint16_t>(rng.next());
+    record.size = static_cast<std::uint8_t>(rng.next());
+    record.kind = static_cast<EventKind>(rng.next_below(8) == 0 ? rng.next_below(256)
+                                                                : rng.next_below(4));
+    record.flags = static_cast<std::uint8_t>(rng.next_below(8) == 0 ? rng.next_below(256)
+                                                                    : rng.next_below(4));
+    record.reserved = static_cast<std::uint8_t>(rng.next_below(8) == 0 ? rng.next_below(256)
+                                                                       : 0);
+    switch (rng.next_below(4)) {
+      case 0: record.kernel = kNoKernel16; break;
+      case 1: record.kernel = static_cast<std::uint16_t>(rng.next()); break;
+      case 2: record.kernel = static_cast<std::uint16_t>(kKernels + rng.next_below(3)); break;
+      default: record.kernel = static_cast<std::uint16_t>(rng.next_below(kKernels)); break;
+    }
+    Trace trace;
+    trace.kernel_count = kKernels;
+    trace.total_retired = rng.next();
+    trace.records.push_back(record);
+
+    bool decodes = true;
+    try {
+      (void)Trace::deserialize(unchecked_v1(trace));
+    } catch (const Error&) {
+      decodes = false;
+    }
+    std::vector<std::uint8_t> bytes;
+    bool written = true;
+    try {
+      bytes = trace.serialize();
+    } catch (const Error&) {
+      written = false;
+    }
+    ASSERT_EQ(written, decodes) << "record " << i;
+    if (!written) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    const Trace back = Trace::deserialize(bytes);
+    ASSERT_EQ(back.records.size(), 1u);
+    const Record& b = back.records[0];
+    ASSERT_TRUE(record.retired == b.retired && record.ea == b.ea &&
+                record.pc == b.pc && record.kernel == b.kernel &&
+                record.func == b.func && record.kind == b.kind &&
+                record.size == b.size && record.flags == b.flags &&
+                record.reserved == b.reserved)
+        << "record " << i;
+  }
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(refused, 1000);
 }
 
 TEST(TraceSerialization, DecodedRecordsReencodeLosslessly) {

@@ -439,6 +439,73 @@ TEST(V2Writer, UnrepresentableRecordsAreRejectedAndWriteNothing) {
             kSame);
 }
 
+TEST(V2Writer, RefusesExactlyTheKernelIdsTheDecoderRejects) {
+  // The reference encoder writes any kernel id; TraceV2View accepts only
+  // ids below kernel_count and kNoKernel16. The writer must draw the same
+  // line, and what it accepts must decode back equal.
+  constexpr std::uint32_t kKernelCount = 9;
+  SplitMix64 rng(0xb10c);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 3000; ++i) {
+    Trace trace = random_trace(rng, 1 + rng.next_below(4));
+    trace.kernel_count = kKernelCount;
+    for (Record& record : trace.records) {
+      switch (rng.next_below(4)) {
+        case 0: record.kernel = kNoKernel16; break;
+        case 1: record.kernel = static_cast<std::uint16_t>(rng.next()); break;
+        case 2:
+          record.kernel = static_cast<std::uint16_t>(kKernelCount + rng.next_below(3));
+          break;
+        default:
+          record.kernel = static_cast<std::uint16_t>(rng.next_below(kKernelCount));
+          break;
+      }
+    }
+    bool decodes = true;
+    try {
+      (void)Trace::deserialize(spec::encode(trace, kDefaultBlockCapacity));
+    } catch (const Error&) {
+      decodes = false;
+    }
+    std::vector<std::uint8_t> bytes;
+    bool written = true;
+    try {
+      bytes = serialize_v2(trace);
+    } catch (const Error&) {
+      written = false;
+    }
+    ASSERT_EQ(written, decodes) << "trace " << i;
+    if (!written) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    expect_records_equal(trace, Trace::deserialize(bytes));
+  }
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(refused, 300);
+
+  // A refused record writes nothing: the stream around it stays intact.
+  TraceV2Writer writer(kKernelCount, 2);
+  Trace expected;
+  expected.kernel_count = kKernelCount;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    Record bad{};
+    bad.retired = i;
+    bad.kind = EventKind::kRead;
+    bad.size = 8;
+    bad.kernel = static_cast<std::uint16_t>(kKernelCount + i);
+    EXPECT_THROW(writer.add(bad), Error);
+    Record good = bad;
+    good.kernel = static_cast<std::uint16_t>(i);
+    writer.add(good);
+    expected.records.push_back(good);
+  }
+  expected.total_retired = 5;
+  EXPECT_EQ(first_mismatch(writer.finish(5), spec::encode(expected, 2)), kSame);
+}
+
 TEST(V2WriterDeathTest, AddAfterFinishFails) {
   TraceV2Writer writer(1);
   (void)writer.finish(0);
