@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "cluster/cluster.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "wfs/runner.hpp"
@@ -26,9 +26,10 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("tiny") ? wfs::WfsConfig::tiny() : wfs::WfsConfig::standard();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool tool(engine);
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  quad::QuadTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  session.run_live(run.host);
 
   std::uint64_t run_instr = 0;
   for (std::uint32_t k = 0; k < tool.kernel_count(); ++k) {

@@ -7,11 +7,12 @@
 #include <cstdio>
 #include <fstream>
 
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/ascii_chart.hpp"
 #include "support/cli.hpp"
 #include "tquad/report.hpp"
 #include "tquad/tquad_tool.hpp"
+#include "vm/machine.hpp"
 #include "wfs/runner.hpp"
 
 int main(int argc, char** argv) {
@@ -37,9 +38,11 @@ int main(int argc, char** argv) {
       1, total / static_cast<std::uint64_t>(cli.integer("slices")));
 
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = interval});
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  tquad::TQuadTool tool(run.artifacts.program,
+                        tquad::Options{.slice_interval = interval});
+  session.add_consumer(tool);
+  session.run_live(run.host);
 
   // The last ten kernels of Table I (the quiet ones the coarse Figure 6
   // cannot resolve).

@@ -16,10 +16,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/quad_tool.hpp"
 #include "session/session.hpp"
 #include "support/metrics.hpp"
@@ -34,6 +34,21 @@
 namespace {
 
 using namespace tq;
+
+/// Profile one fresh wfs run with a lone `Tool` in its own ProfileSession on
+/// `engine` — the paper's one-tool-per-execution workflow. Returns the
+/// retired instruction count.
+template <typename Tool, typename ToolOptions>
+std::uint64_t run_single_tool(const wfs::WfsConfig& cfg, vm::EngineKind engine,
+                              const ToolOptions& options) {
+  wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
+  session::SessionConfig config;
+  config.engine = engine;
+  session::ProfileSession profile(run.artifacts.program, config);
+  Tool tool(run.artifacts.program, options);
+  profile.add_consumer(tool);
+  return profile.run_live(run.host).retired;
+}
 
 void BM_GoldenModel(benchmark::State& state) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
@@ -57,16 +72,15 @@ void BM_VmNative(benchmark::State& state) {
 }
 BENCHMARK(BM_VmNative)->Unit(benchmark::kMillisecond);
 
+// The single-tool benches run on the interpreter, like BM_VmNative.
 void BM_VmTquad(benchmark::State& state) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   const auto slice = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t retired = 0;
   for (auto _ : state) {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = slice});
-    retired = engine.run().retired;
-    benchmark::DoNotOptimize(tool.total_retired());
+    retired = run_single_tool<tquad::TQuadTool>(
+        cfg, vm::EngineKind::kInterp, tquad::Options{.slice_interval = slice});
+    benchmark::DoNotOptimize(retired);
   }
   state.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(retired), benchmark::Counter::kIsIterationInvariantRate);
@@ -77,11 +91,8 @@ BENCHMARK(BM_VmTquad)->Arg(5000)->Arg(100000)->Arg(10'000'000)
 void BM_VmQuad(benchmark::State& state) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   for (auto _ : state) {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    quad::QuadTool tool(engine);
-    engine.run();
-    benchmark::DoNotOptimize(tool.kernel_count());
+    benchmark::DoNotOptimize(run_single_tool<quad::QuadTool>(
+        cfg, vm::EngineKind::kInterp, quad::QuadOptions{}));
   }
 }
 BENCHMARK(BM_VmQuad)->Unit(benchmark::kMillisecond);
@@ -89,11 +100,8 @@ BENCHMARK(BM_VmQuad)->Unit(benchmark::kMillisecond);
 void BM_VmGprof(benchmark::State& state) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   for (auto _ : state) {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    gprof::GprofTool tool(engine, {});
-    engine.run();
-    benchmark::DoNotOptimize(tool.total_retired());
+    benchmark::DoNotOptimize(run_single_tool<gprof::GprofTool>(
+        cfg, vm::EngineKind::kInterp, gprof::Options{}));
   }
 }
 BENCHMARK(BM_VmGprof)->Unit(benchmark::kMillisecond);
@@ -124,6 +132,9 @@ double time_once(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// The paper's Section V-A table, on both engines: the interpreter (the
+/// reference engine) and the default compiled engine. "vs plain VM" divides
+/// by the same engine's uninstrumented run.
 void print_headline_slowdowns() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const wfs::WavData input = wfs::make_test_signal(cfg.input_samples());
@@ -132,43 +143,47 @@ void print_headline_slowdowns() {
     benchmark::DoNotOptimize(wfs::run_golden(cfg, input));
   });
   std::uint64_t retired = 0;
-  const double native_s = time_once([&] {
+  const double interp_s = time_once([&] {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
     vm::Machine machine(run.artifacts.program, run.host);
     retired = machine.run().retired;
   });
-  const double tquad_fine_s = time_once([&] {
+  const double compiled_s = time_once([&] {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 5000});
-    engine.run();
-  });
-  const double tquad_coarse_s = time_once([&] {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 10'000'000});
-    engine.run();
-  });
-  const double quad_s = time_once([&] {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    quad::QuadTool tool(engine);
-    engine.run();
+    vm::CompiledMachine machine(run.artifacts.program, run.host);
+    benchmark::DoNotOptimize(machine.run());
   });
 
   std::printf("\n== headline slowdowns (standard configuration, %s instructions) ==\n",
               format_count(retired).c_str());
-  std::printf("%-28s %10s %18s %18s\n", "configuration", "seconds", "vs native (C++)",
+  std::printf("%-34s %10s %18s %18s\n", "configuration", "seconds", "vs native (C++)",
               "vs plain VM");
-  auto row = [&](const char* name, double seconds) {
-    std::printf("%-28s %10.3f %17.1fx %17.1fx\n", name, seconds, seconds / golden_s,
-                seconds / native_s);
+  const auto row = [&](const std::string& name, double seconds, double bare_s) {
+    std::printf("%-34s %10.3f %17.1fx %17.1fx\n", name.c_str(), seconds,
+                seconds / golden_s, seconds / bare_s);
   };
-  row("golden model (native C++)", golden_s);
-  row("VM, uninstrumented", native_s);
-  row("VM + tQUAD, slice 5e3", tquad_fine_s);
-  row("VM + tQUAD, slice 1e7", tquad_coarse_s);
-  row("VM + QUAD", quad_s);
+  row("golden model (native C++)", golden_s, interp_s);
+  for (const vm::EngineKind engine :
+       {vm::EngineKind::kInterp, vm::EngineKind::kCompiled}) {
+    const bool interp = engine == vm::EngineKind::kInterp;
+    const std::string name = interp ? "interp VM" : "compiled VM";
+    const double bare_s = interp ? interp_s : compiled_s;
+    const double tquad_fine_s = time_once([&] {
+      run_single_tool<tquad::TQuadTool>(cfg, engine,
+                                        tquad::Options{.slice_interval = 5000});
+    });
+    const double tquad_coarse_s = time_once([&] {
+      run_single_tool<tquad::TQuadTool>(
+          cfg, engine, tquad::Options{.slice_interval = 10'000'000});
+    });
+    const double quad_s = time_once([&] {
+      run_single_tool<quad::QuadTool>(cfg, engine, quad::QuadOptions{});
+    });
+    row(name + ", uninstrumented", bare_s, bare_s);
+    row(name + " + tQUAD, slice 5e3", tquad_fine_s, bare_s);
+    row(name + " + tQUAD, slice 1e7", tquad_coarse_s, bare_s);
+    row(name + " + QUAD", quad_s, bare_s);
+  }
   std::printf("\npaper: instrumented vs native slowdown %.1fx-%.1fx depending on the\n"
               "slice interval and the stack option; the 'vs native' column is the\n"
               "comparable measurement here.\n",
@@ -177,7 +192,9 @@ void print_headline_slowdowns() {
 
 /// One-shot single-pass-vs-three-pass comparison on the standard
 /// configuration, with a machine-readable BENCH_session.json for CI.
-/// Returns false if the combined session fails the 1.8x speedup floor.
+/// The three-pass baseline is the paper's workflow: one single-tool session
+/// per tool, each on the interpreter. Returns false if the combined session
+/// fails the 1.8x speedup floor.
 bool print_session_speedup() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const tquad::Options tquad_options{.slice_interval = 5000};
@@ -190,24 +207,10 @@ bool print_session_speedup() {
   double single_pass_s = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     const double three = time_once([&] {
-      {
-        wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-        pin::Engine engine(run.artifacts.program, run.host);
-        tquad::TQuadTool tool(engine, tquad_options);
-        retired = engine.run().retired;
-      }
-      {
-        wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-        pin::Engine engine(run.artifacts.program, run.host);
-        quad::QuadTool tool(engine);
-        engine.run();
-      }
-      {
-        wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-        pin::Engine engine(run.artifacts.program, run.host);
-        gprof::GprofTool tool(engine, {});
-        engine.run();
-      }
+      constexpr vm::EngineKind kInterp = vm::EngineKind::kInterp;
+      retired = run_single_tool<tquad::TQuadTool>(cfg, kInterp, tquad_options);
+      run_single_tool<quad::QuadTool>(cfg, kInterp, quad::QuadOptions{});
+      run_single_tool<gprof::GprofTool>(cfg, kInterp, gprof::Options{});
     });
 
     const double single = time_once([&] {
@@ -228,7 +231,7 @@ bool print_session_speedup() {
 
   const double speedup = three_pass_s / single_pass_s;
   std::printf("\n== single-pass session vs separate runs (standard configuration) ==\n");
-  std::printf("%-44s %10.3f s\n", "tquad + quad + gprof, three executions",
+  std::printf("%-44s %10.3f s\n", "tquad + quad + gprof, three interp sessions",
               three_pass_s);
   std::printf("%-44s %10.3f s\n", "tquad + quad + gprof, one ProfileSession",
               single_pass_s);
@@ -241,6 +244,7 @@ bool print_session_speedup() {
     std::fprintf(json,
                  "  \"workload\": \"wfs standard\",\n"
                  "  \"retired_instructions\": %llu,\n"
+                 "  \"three_pass_engine\": \"interp\",\n"
                  "  \"three_pass_seconds\": %.6f,\n"
                  "  \"single_pass_seconds\": %.6f,\n"
                  "  \"speedup\": %.3f,\n"

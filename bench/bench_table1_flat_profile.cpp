@@ -16,7 +16,7 @@
 #include <map>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "wfs/runner.hpp"
@@ -39,11 +39,12 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("tiny") ? wfs::WfsConfig::tiny() : wfs::WfsConfig::standard();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
+  session::ProfileSession session(run.artifacts.program);
   gprof::Options options;
   options.sample_period = static_cast<std::uint64_t>(cli.integer("sample_period"));
-  gprof::GprofTool tool(engine, options);
-  engine.run();
+  gprof::GprofTool tool(run.artifacts.program, options);
+  session.add_consumer(tool);
+  session.run_live(run.host);
 
   std::map<std::string, double> paper_percent;
   std::map<std::string, std::uint64_t> paper_calls;

@@ -20,8 +20,8 @@
 #include <limits>
 #include <map>
 
-#include "minipin/minipin.hpp"
 #include "quad/quad_tool.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "wfs/runner.hpp"
@@ -44,9 +44,10 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("tiny") ? wfs::WfsConfig::tiny() : wfs::WfsConfig::standard();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool tool(engine);
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  quad::QuadTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  session.run_live(run.host);
 
   std::map<std::string, const bench::PaperQuadRow*> paper;
   for (const auto& row : bench::paper_table2()) paper[row.kernel] = &row;

@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "tquad/consensus.hpp"
@@ -67,26 +67,30 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("tiny") ? wfs::WfsConfig::tiny() : wfs::WfsConfig::standard();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
+  const vm::Program& program = run.artifacts.program;
   tquad::Options options;
   options.slice_interval = static_cast<std::uint64_t>(cli.integer("slice"));
-  tquad::TQuadTool tool(engine, options);
-  engine.run();
-
   // The paper averages the bandwidth columns "over several passes with
-  // different time slices" and prints "<" bounds where passes disagree;
-  // run two more passes at neighbouring intervals for the consensus.
+  // different time slices" and prints "<" bounds where passes disagree:
+  // two more passes at neighbouring intervals feed the consensus. A fourth
+  // pass at burst-length slices measures the peaks (see below). One
+  // execution feeds all four.
+  tquad::TQuadTool tool(program, options);
+  tquad::TQuadTool half_tool(
+      program, tquad::Options{.slice_interval = options.slice_interval / 2});
+  tquad::TQuadTool double_tool(
+      program, tquad::Options{.slice_interval = options.slice_interval * 2});
+  tquad::TQuadTool fine_tool(program, tquad::Options{.slice_interval = 500});
+  session::ProfileSession session(program);
+  for (tquad::TQuadTool* pass : {&tool, &half_tool, &double_tool, &fine_tool}) {
+    session.add_consumer(*pass);
+  }
+  session.run_live(run.host);
+
   tquad::BandwidthConsensus consensus(0.10);
   consensus.add_pass(tool);
-  for (const std::uint64_t extra :
-       {options.slice_interval / 2, options.slice_interval * 2}) {
-    wfs::WfsRun pass_run = wfs::prepare_wfs_run(cfg);
-    pin::Engine pass_engine(pass_run.artifacts.program, pass_run.host);
-    tquad::TQuadTool pass_tool(pass_engine,
-                               tquad::Options{.slice_interval = extra});
-    pass_engine.run();
-    consensus.add_pass(pass_tool);
-  }
+  consensus.add_pass(half_tool);
+  consensus.add_pass(double_tool);
   std::vector<tquad::BandwidthConsensus::Row> consensus_rows = consensus.rows();
   auto consensus_row =
       [&](std::uint32_t kernel) -> const tquad::BandwidthConsensus::Row* {
@@ -182,14 +186,10 @@ int main(int argc, char** argv) {
               save_span_fraction * 100.0);
 
   // Burst-resolution peak: at this scaled-down workload a copy burst is
-  // shorter than a 5000-instruction slice, diluting the peak; re-measure
-  // with slices matched to the burst length (still within the paper's
-  // 5e3..1e8 sweep, relative to run length).
+  // shorter than a 5000-instruction slice, diluting the peak; the fine pass
+  // measures with slices matched to the burst length (still within the
+  // paper's 5e3..1e8 sweep, relative to run length).
   {
-    wfs::WfsRun fine_run = wfs::prepare_wfs_run(cfg);
-    pin::Engine fine_engine(fine_run.artifacts.program, fine_run.host);
-    tquad::TQuadTool fine_tool(fine_engine, tquad::Options{.slice_interval = 500});
-    fine_engine.run();
     double set_peak = 0.0;
     double other_peak = 0.0;
     for (std::uint32_t k = 0; k < fine_tool.kernel_count(); ++k) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "session/session.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/crc32c.hpp"
@@ -23,7 +24,6 @@
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
-#include "vm/machine.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -37,9 +37,10 @@ double seconds_since(Clock::time_point start) {
 
 trace::Trace record_stream_trace(const vm::Program& program) {
   vm::HostEnv host;
+  session::ProfileSession session(program);
   trace::TraceRecorder recorder(program);
-  vm::Machine machine(program, host);
-  machine.run(&recorder);
+  session.add_consumer(recorder);
+  session.run_live(host);
   return recorder.take();
 }
 

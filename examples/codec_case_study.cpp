@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "dctc/dctc.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/ascii_chart.hpp"
 #include "support/cli.hpp"
 #include "tquad/phase.hpp"
@@ -35,11 +35,12 @@ int main(int argc, char** argv) {
   host.attach_input(pixels);
   host.create_output();
 
-  pin::Engine engine(artifacts.program, host);
+  session::ProfileSession session(artifacts.program);
   tquad::TQuadTool tool(
-      engine, tquad::Options{.slice_interval =
-                                 static_cast<std::uint64_t>(cli.integer("slice"))});
-  const vm::RunResult result = engine.run();
+      artifacts.program,
+      tquad::Options{.slice_interval = static_cast<std::uint64_t>(cli.integer("slice"))});
+  session.add_consumer(tool);
+  const vm::RunResult result = session.run_live(host);
 
   const auto& stream = host.output(dctc::DctcArtifacts::kOutputFd);
   std::printf("encoded %ux%u (%zu pixel bytes) into %zu bytes (%.1f:1) over %s "

@@ -11,7 +11,7 @@
 //   ./build/examples/phase_explorer -standard    # full workload
 #include <cstdio>
 
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "tquad/phase.hpp"
@@ -35,9 +35,11 @@ int main(int argc, char** argv) {
   const std::uint64_t intervals[] = {500, 5'000, 50'000, 500'000};
   for (const std::uint64_t interval : intervals) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = interval});
-    engine.run();
+    session::ProfileSession session(run.artifacts.program);
+    tquad::TQuadTool tool(run.artifacts.program,
+                          tquad::Options{.slice_interval = interval});
+    session.add_consumer(tool);
+    session.run_live(run.host);
     const auto phases = tquad::detect_phases(tool);
     std::printf("== slice interval %s: %llu slices, %zu phases ==\n",
                 format_count(interval).c_str(),

@@ -1,7 +1,8 @@
 // The paper's Section V case study end to end: profile the hArtes-wfs
 // reimplementation with all three tools and print every analysis —
 // gprof-style flat profile, QUAD producer/consumer summary, tQUAD bandwidth
-// time series, and the detected execution phases.
+// time series, and the detected execution phases. The paper ran each tool
+// in its own execution; here one ProfileSession feeds all three.
 //
 //   ./build/examples/wfs_case_study                 # standard workload
 //   ./build/examples/wfs_case_study -tiny           # fast run
@@ -9,8 +10,8 @@
 #include <cstdio>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/quad_tool.hpp"
+#include "session/session.hpp"
 #include "support/ascii_chart.hpp"
 #include "support/cli.hpp"
 #include "tquad/phase.hpp"
@@ -33,53 +34,48 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("tiny") ? wfs::WfsConfig::tiny() : wfs::WfsConfig::standard();
 
+  wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
+  const vm::Program& program = run.artifacts.program;
+  session::ProfileSession session(program);
+  gprof::GprofTool gprof_tool(program, {});
+  quad::QuadTool quad_tool(program);
+  tquad::Options options;
+  options.slice_interval = static_cast<std::uint64_t>(cli.integer("slice"));
+  tquad::TQuadTool tquad_tool(program, options);
+  session.add_consumer(gprof_tool);
+  session.add_consumer(quad_tool);
+  session.add_consumer(tquad_tool);
+  session.run_live(run.host);
+
   // --- step 1: gprof-style flat profile (find the top kernels) --------------
   std::printf("=== step 1: flat profile (gsim) ===\n");
-  {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    gprof::GprofTool tool(engine, {});
-    engine.run();
-    std::fputs(tool.flat_profile_table().to_ascii().c_str(), stdout);
-  }
+  std::fputs(gprof_tool.flat_profile_table().to_ascii().c_str(), stdout);
 
   // --- step 2: QUAD data-communication overview ------------------------------
   std::printf("\n=== step 2: QUAD producer/consumer bindings (top 10 by bytes) ===\n");
-  {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    quad::QuadTool tool(engine);
-    engine.run();
-    const auto edges = tool.bindings();
-    for (std::size_t i = 0; i < edges.size() && i < 10; ++i) {
-      std::printf("  %-24s -> %-24s %s\n",
-                  tool.kernel_name(edges[i].producer).c_str(),
-                  tool.kernel_name(edges[i].consumer).c_str(),
-                  format_bytes(edges[i].bytes).c_str());
-    }
+  const auto edges = quad_tool.bindings();
+  for (std::size_t i = 0; i < edges.size() && i < 10; ++i) {
+    std::printf("  %-24s -> %-24s %s\n",
+                quad_tool.kernel_name(edges[i].producer).c_str(),
+                quad_tool.kernel_name(edges[i].consumer).c_str(),
+                format_bytes(edges[i].bytes).c_str());
   }
 
   // --- step 3: tQUAD temporal bandwidth + phases -----------------------------
   std::printf("\n=== step 3: tQUAD temporal analysis ===\n");
-  wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::Options options;
-  options.slice_interval = static_cast<std::uint64_t>(cli.integer("slice"));
-  tquad::TQuadTool tool(engine, options);
-  engine.run();
-
   std::printf("kernel activity over time (read+write bytes per slice):\n");
   std::vector<ChartSeries> series;
-  for (const auto& row : tquad::flat_profile(tool)) {
+  for (const auto& row : tquad::flat_profile(tquad_tool)) {
     if (series.size() == 8 || row.name == "main") continue;
     series.push_back(ChartSeries{
-        row.name, tquad::dense_series(tool, row.kernel,
-                                      tquad::Metric::kReadWriteIncl)});
+        row.name, tquad::dense_series(tquad_tool, row.kernel,
+                                            tquad::Metric::kReadWriteIncl)});
   }
   std::fputs(render_heat_strips(series).c_str(), stdout);
 
-  const auto phases = tquad::detect_phases(tool);
-  std::printf("\ndetected phases:\n%s", tquad::describe_phases(tool, phases).c_str());
+  const auto phases = tquad::detect_phases(tquad_tool);
+  std::printf("\ndetected phases:\n%s",
+              tquad::describe_phases(tquad_tool, phases).c_str());
 
   // --- step 4: validate the audio output -------------------------------------
   if (cli.flag("verify")) {

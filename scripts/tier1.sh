@@ -12,10 +12,12 @@ cmake --build --preset default -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # 2. ASan+UBSan on the trace stack and the session layer: codec
-#    round-trips, differential sweeps (including single-pass-vs-standalone
-#    and replay-vs-live equivalence), the decoder fuzzers and the v2.1
-#    corruption/salvage suite (the tests most likely to walk off a buffer),
-#    plus the fault-injection differential harness.
+#    round-trips, differential sweeps (including shared-session-vs-
+#    single-tool-session and replay-vs-live equivalence), the decoder
+#    fuzzers and the v2.1 corruption/salvage suite (the tests most likely to
+#    walk off a buffer), plus the fault-injection differential harness.
+#    The golden reports drive the CLI end to end over every zoo workload
+#    and every wfs library policy, on both engines, under the sanitizers.
 #    The workload-zoo suites ride along so every registered memory shape
 #    (hash-join scatter, phase-sharp buffers, ...) is exercised under the
 #    sanitizers too, and the engine differential suite runs the compiled
@@ -34,9 +36,9 @@ cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_session_pipeline \
     test_support_metrics test_workload_zoo test_engine_differential \
     test_quad_shadow test_quad_tool test_quad_buffers test_support_address_set \
-    test_access_batch
+    test_access_batch tquad_cli zoo_gen wfs_gen tqtr_doctor
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_quad_shadow|test_quad_tool|test_quad_buffers|test_support_address_set|test_access_batch)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_quad_shadow|test_quad_tool|test_quad_buffers|test_support_address_set|test_access_batch|golden_reports)$'
 
 # 2b. Forced-adaptive stress under ASan: replay the whole pipeline parity
 #     suite with the batch controller pinned to its most allocation-churny

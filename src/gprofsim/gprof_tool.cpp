@@ -7,7 +7,7 @@ namespace tq::gprof {
 GprofTool::GprofTool(const vm::Program& program, Options options)
     : program_(program),
       options_(options),
-      stack_(program, options.library_policy) {
+      tracked_(tquad::tracked_functions(program, options.library_policy)) {
   TQUAD_CHECK(options_.sample_period > 0, "sample period must be positive");
   const std::size_t n = program.functions().size();
   self_instrs_.assign(n, 0);
@@ -19,103 +19,30 @@ GprofTool::GprofTool(const vm::Program& program, Options options)
   next_sample_ = options_.sample_period;
 }
 
-GprofTool::GprofTool(pin::Engine& engine, Options options)
-    : GprofTool(engine.program(), options) {
-  engine.add_rtn_instrument_function([this](pin::Rtn& rtn) { instrument_rtn(rtn); });
-  engine.add_ins_instrument_function([this](pin::Ins& ins) { instrument_ins(ins); });
-  engine.add_fini_function([this](std::uint64_t retired) { account_fini(retired); });
-}
-
-void GprofTool::instrument_rtn(pin::Rtn& rtn) {
-  rtn.insert_entry_call(&GprofTool::enter_fc, this);
-}
-
-void GprofTool::instrument_ins(pin::Ins& ins) {
-  ins.insert_call(&GprofTool::on_instr_tick, this);
-  if (ins.is_ret()) {
-    ins.insert_predicated_call(&GprofTool::on_ret, this);
-  }
-}
-
-// ---- mode-independent accounting ----------------------------------------------
-
-void GprofTool::account_enter(std::uint32_t func, std::uint32_t caller,
-                              bool tracked, std::uint64_t retired) {
-  if (!tracked) return;
+void GprofTool::on_kernel_enter(const session::EnterEvent& event) {
+  if (!event.tracked) return;
   // Call-graph edge: the attributable routine on top of the stack (before
   // this entry pushed) is the caller.
-  if (caller != tquad::kNoKernel) {
-    ++edges_[{caller, func}];
+  if (event.caller != tquad::kNoKernel) {
+    ++edges_[{event.caller, event.func}];
   }
-  ++calls_[func];
-  if (activation_depth_[func]++ == 0) {
-    activation_start_[func] = retired;
+  ++calls_[event.func];
+  if (activation_depth_[event.func]++ == 0) {
+    activation_start_[event.func] = event.retired;
   }
-}
-
-void GprofTool::account_tick(std::uint32_t func, bool tracked,
-                             std::uint64_t retired) {
-  // Exact self attribution: the function whose instruction is executing.
-  ++self_instrs_[func];
-  // PC sampling at the fixed period.
-  if (retired + 1 >= next_sample_) {
-    next_sample_ += options_.sample_period;
-    if (tracked) {
-      ++samples_[func];
-    }
-    ++total_samples_;
-  }
-}
-
-void GprofTool::account_ret(std::uint32_t func, bool tracked,
-                            std::uint64_t retired) {
-  if (tracked && activation_depth_[func] > 0) {
-    if (--activation_depth_[func] == 0) {
-      inclusive_[func] += retired - activation_start_[func];
-    }
-  }
-}
-
-void GprofTool::account_fini(std::uint64_t retired) {
-  total_retired_ = retired;
-  // Close any activations still open at program exit (entry function etc.).
-  for (std::size_t k = 0; k < inclusive_.size(); ++k) {
-    if (activation_depth_[k] > 0) {
-      inclusive_[k] += retired - activation_start_[k];
-      activation_depth_[k] = 0;
-    }
-  }
-}
-
-// ---- standalone trampolines -----------------------------------------------------
-
-void GprofTool::enter_fc(void* tool, const pin::RtnArgs& args) {
-  auto& self = *static_cast<GprofTool*>(tool);
-  const std::uint32_t caller = self.stack_.top();
-  self.stack_.on_enter(args.func);
-  self.account_enter(args.func, caller, self.stack_.tracked(args.func),
-                     args.retired);
-}
-
-void GprofTool::on_ret(void* tool, const pin::InsArgs& args) {
-  auto& self = *static_cast<GprofTool*>(tool);
-  self.account_ret(args.func, self.stack_.tracked(args.func), args.retired);
-  self.stack_.on_ret(args.func);
-}
-
-void GprofTool::on_instr_tick(void* tool, const pin::InsArgs& args) {
-  auto& self = *static_cast<GprofTool*>(tool);
-  self.account_tick(args.func, self.stack_.tracked(args.func), args.retired);
-}
-
-// ---- session-mode consumer ------------------------------------------------------
-
-void GprofTool::on_kernel_enter(const session::EnterEvent& event) {
-  account_enter(event.func, event.caller, event.tracked, event.retired);
 }
 
 void GprofTool::on_tick(const session::TickEvent& event) {
-  account_tick(event.func, event.tracked, event.retired);
+  // Exact self attribution: the function whose instruction is executing.
+  ++self_instrs_[event.func];
+  // PC sampling at the fixed period.
+  if (event.retired + 1 >= next_sample_) {
+    next_sample_ += options_.sample_period;
+    if (event.tracked) {
+      ++samples_[event.func];
+    }
+    ++total_samples_;
+  }
 }
 
 void GprofTool::on_tick_run(const session::TickRunEvent& run) {
@@ -124,8 +51,8 @@ void GprofTool::on_tick_run(const session::TickRunEvent& run) {
   // a sequential tick stream next_sample_ > first_retired always holds on
   // entry (each processed tick leaves next_sample_ at least two ahead of
   // it), so the sample points inside the run are exactly next_sample_ - 1,
-  // next_sample_ - 1 + period, ... — the same ones the per-tick
-  // account_tick loop would hit.
+  // next_sample_ - 1 + period, ... — the same ones the per-tick on_tick
+  // loop would hit.
   const std::uint64_t last = run.first_retired + run.count;  // max (retired + 1)
   if (last >= next_sample_) {
     const std::uint64_t hits = (last - next_sample_) / options_.sample_period + 1;
@@ -138,11 +65,22 @@ void GprofTool::on_tick_run(const session::TickRunEvent& run) {
 }
 
 void GprofTool::on_kernel_ret(const session::RetEvent& event) {
-  account_ret(event.func, event.tracked, event.retired);
+  if (event.tracked && activation_depth_[event.func] > 0) {
+    if (--activation_depth_[event.func] == 0) {
+      inclusive_[event.func] += event.retired - activation_start_[event.func];
+    }
+  }
 }
 
 void GprofTool::on_session_end(std::uint64_t total_retired) {
-  account_fini(total_retired);
+  total_retired_ = total_retired;
+  // Close any activations still open at program exit (entry function etc.).
+  for (std::size_t k = 0; k < inclusive_.size(); ++k) {
+    if (activation_depth_[k] > 0) {
+      inclusive_[k] += total_retired - activation_start_[k];
+      activation_depth_[k] = 0;
+    }
+  }
 }
 
 std::vector<GprofTool::CallEdge> GprofTool::call_graph() const {
@@ -180,7 +118,7 @@ std::uint64_t GprofTool::calls(std::uint32_t kernel) const {
 std::vector<FlatRow> GprofTool::flat_profile() const {
   std::vector<FlatRow> rows;
   for (std::uint32_t k = 0; k < kernel_count(); ++k) {
-    if (!stack_.tracked(k) || calls_[k] == 0) continue;
+    if (!tracked_[k] || calls_[k] == 0) continue;
     FlatRow row;
     row.kernel = k;
     row.name = kernel_name(k);

@@ -1,4 +1,5 @@
-// gsim: a gprof-equivalent flat profiler over the tq VM.
+// gsim: a gprof-equivalent flat profiler over the tq VM, as a session
+// consumer.
 //
 // The paper uses gprof to pick the top kernels of hArtes wfs (Table I).
 // gprof attributes *self* time by sampling the program counter at a fixed
@@ -24,10 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "minipin/minipin.hpp"
 #include "session/events.hpp"
-#include "tquad/callstack.hpp"
 #include "support/table.hpp"
+#include "tquad/callstack.hpp"
+#include "vm/program.hpp"
 
 namespace tq::gprof {
 
@@ -36,6 +37,7 @@ struct Options {
   std::uint64_t sample_period = 10'000;  ///< instructions between PC samples
   double clock_ghz = 2.83;               ///< paper's Q9550
   double ipc = 1.0;                      ///< instructions per cycle
+  /// Must match the session's policy; selects the flat-profile rows.
   tquad::LibraryPolicy library_policy = tquad::LibraryPolicy::kExclude;
 };
 
@@ -50,12 +52,10 @@ struct FlatRow {
   double total_ms_per_call = 0.0; ///< "total ms/call" (inclusive)
 };
 
-/// The profiler tool. Construct before the run (standalone with an Engine,
-/// or session mode with a Program plus ProfileSession::add_consumer — use
-/// the same library policy as the session); query afterwards.
+/// The profiler tool. Register on a ProfileSession before its run; query
+/// afterwards.
 class GprofTool : public session::AnalysisConsumer {
  public:
-  GprofTool(pin::Engine& engine, Options options = {});
   GprofTool(const vm::Program& program, Options options = {});
 
   GprofTool(const GprofTool&) = delete;
@@ -98,8 +98,8 @@ class GprofTool : public session::AnalysisConsumer {
     return program_.functions()[kernel].name;
   }
 
-  // session::AnalysisConsumer (session mode). Memory accesses carry nothing
-  // a call-graph profile uses.
+  // session::AnalysisConsumer. Memory accesses carry nothing a call-graph
+  // profile uses.
   unsigned event_interests() const override {
     return kEnterInterest | kTickInterest | kRetInterest;
   }
@@ -110,28 +110,14 @@ class GprofTool : public session::AnalysisConsumer {
   void on_session_end(std::uint64_t total_retired) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
 
-  /// How the observed run ended (session mode; kHalted for a clean run).
+  /// How the observed run ended (kHalted for a clean run).
   /// A trapped/truncated outcome means the profile is a valid prefix.
   const vm::RunOutcome& outcome() const noexcept { return outcome_; }
 
  private:
-  static void enter_fc(void* tool, const pin::RtnArgs& args);
-  static void on_ret(void* tool, const pin::InsArgs& args);
-  static void on_instr_tick(void* tool, const pin::InsArgs& args);
-
-  void instrument_rtn(pin::Rtn& rtn);
-  void instrument_ins(pin::Ins& ins);
-
-  // Mode-independent accounting.
-  void account_enter(std::uint32_t func, std::uint32_t caller, bool tracked,
-                     std::uint64_t retired);
-  void account_tick(std::uint32_t func, bool tracked, std::uint64_t retired);
-  void account_ret(std::uint32_t func, bool tracked, std::uint64_t retired);
-  void account_fini(std::uint64_t retired);
-
   const vm::Program& program_;
   Options options_;
-  tquad::CallStack stack_;  ///< standalone attribution; static tables in session mode
+  std::vector<bool> tracked_;  ///< reported kernels (tquad::tracked_functions)
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> edges_;
   std::vector<std::uint64_t> self_instrs_;
   std::vector<std::uint64_t> samples_;

@@ -71,13 +71,13 @@ void LiveEngineSource::input_write(KernelAttribution& sink, const pin::InsArgs& 
                     /*is_prefetch=*/false);
 }
 
-// Event order within one instruction matches the standalone tools'
-// registration order: accesses read before write, then the return; the
-// access/return parts are predicated (skipped when the instruction did not
-// execute). Every tick — memory or not, executed or not — joins the
-// attribution's batched run; only its memory-operand bit is recorded (from
-// the architectural operand widths, so predicated-off instructions count,
-// exactly as the standalone tools' unpredicated tick callbacks see them).
+// Event order within one instruction: the tick, then accesses read before
+// write, then the return; the access/return parts are predicated (skipped
+// when the instruction did not execute). Every tick — memory or not,
+// executed or not — joins the attribution's batched run; only its
+// memory-operand bit is recorded (from the architectural operand widths, so
+// predicated-off instructions count, as Pin's unpredicated INS_InsertCall
+// would see them).
 
 void LiveEngineSource::on_tick(void* attribution, const pin::InsArgs& args) {
   static_cast<KernelAttribution*>(attribution)

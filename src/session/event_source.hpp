@@ -72,8 +72,7 @@ class LiveEngineSource final : public EventSource {
  private:
   // Fused per-instruction trampolines for the interpreter path, chosen at
   // instrument time by the instruction's static shape (memory read/write,
-  // return). One indirect call per instruction instead of one per concern
-  // keeps the single-pass dispatch as cheap as a lone standalone tool's.
+  // return): one indirect call per instruction instead of one per concern.
   static void on_tick(void* attribution, const pin::InsArgs& args);
   static void tick_read(void* attribution, const pin::InsArgs& args);
   static void tick_write(void* attribution, const pin::InsArgs& args);

@@ -94,7 +94,7 @@ struct RetEvent {
   bool tracked = false;
 };
 
-/// A profiling tool in session mode: pure accounting over attributed events.
+/// A profiling tool: pure accounting over attributed events.
 /// Within one instruction, accesses come read before write, then the
 /// return; routine entries land after their call instruction's events.
 /// Ticks arrive either exactly (on_tick, in stream position) or batched

@@ -12,9 +12,9 @@
 //              ├─> gprof::GprofTool
 //              └─> trace::TraceRecorder
 //
-// Consumers constructed in session mode must use the same library policy as
-// the session: the shared stack is the single source of attribution truth,
-// and a tool's own policy only feeds its static reported()/tracked() tables.
+// The shared stack is the single source of attribution truth. A tool's own
+// library policy only selects which kernels it reports, so give each tool
+// the session's policy.
 #pragma once
 
 #include <chrono>

@@ -35,6 +35,13 @@ enum class LibraryPolicy : std::uint8_t {
 /// Sentinel kernel id meaning "no attributable kernel".
 inline constexpr std::uint32_t kNoKernel = 0xffffffffu;
 
+/// Which functions are pushed and reported under `policy`, by function id:
+/// main-image routines always, library/OS routines only under kTrack. The
+/// one home of the policy rule — CallStack and every tool's reported()
+/// read this table.
+std::vector<bool> tracked_functions(const vm::Program& program,
+                                    LibraryPolicy policy);
+
 /// Dynamically maintained call stack of kernel (function) ids.
 class CallStack {
  public:

@@ -8,7 +8,6 @@
 #include "support/metrics.hpp"
 #include "trace/trace_v2.hpp"
 #include "trace/wire.hpp"
-#include "vm/stack_addr.hpp"
 
 namespace tq::trace {
 
@@ -128,9 +127,9 @@ inline void TraceRecorder::push(const Record& record) {
   }
 }
 
-TraceRecorder::TraceRecorder(const vm::Program& program, tquad::LibraryPolicy policy,
-                             TraceFormat format)
-    : stack_(program, policy) {
+TraceRecorder::TraceRecorder(const vm::Program& program,
+                             tquad::LibraryPolicy /*policy: see header*/,
+                             TraceFormat format) {
   trace_.kernel_count = static_cast<std::uint32_t>(program.functions().size());
   if (format == TraceFormat::kV2) {
     writer_ = std::make_unique<TraceV2Writer>(trace_.kernel_count);
@@ -166,64 +165,9 @@ void TraceRecorder::finalize() {
   }
 }
 
-void TraceRecorder::on_rtn_enter(std::uint32_t func) {
-  stack_.on_enter(func);
-  Record record{};
-  record.retired = last_retired_;
-  record.ea = func;
-  record.kernel = static_cast<std::uint16_t>(
-      stack_.top() == tquad::kNoKernel ? kNoKernel16 : stack_.top());
-  record.func = static_cast<std::uint16_t>(func);
-  record.kind = EventKind::kEnter;
-  push(record);
-}
-
-void TraceRecorder::on_instr(const vm::InstrEvent& event) {
-  if (!event.executed) return;
-  const std::uint32_t top = stack_.top();
-  const std::uint16_t kernel =
-      top == tquad::kNoKernel ? kNoKernel16 : static_cast<std::uint16_t>(top);
-
-  auto emit = [&](EventKind kind, std::uint64_t ea, std::uint32_t size,
-                  std::uint8_t flags) {
-    Record record{};
-    record.retired = event.retired;
-    record.ea = ea;
-    record.pc = event.pc;
-    record.kernel = kernel;
-    record.func = static_cast<std::uint16_t>(event.func);
-    record.kind = kind;
-    record.size = static_cast<std::uint8_t>(size);
-    record.flags = flags;
-    push(record);
-  };
-
-  if (event.read.size != 0) {
-    std::uint8_t flags = 0;
-    if (vm::is_stack_addr(event.read.ea, event.sp)) flags |= kFlagStackArea;
-    if (event.prefetch) flags |= kFlagPrefetch;
-    emit(EventKind::kRead, event.read.ea, event.read.size, flags);
-  }
-  if (event.write.size != 0) {
-    std::uint8_t flags = 0;
-    if (vm::is_stack_addr(event.write.ea, event.sp)) flags |= kFlagStackArea;
-    emit(EventKind::kWrite, event.write.ea, event.write.size, flags);
-  }
-  if (isa::is_ret(event.ins->op)) {
-    emit(EventKind::kRet, 0, 0, 0);
-    stack_.on_ret(event.func);
-  }
-}
-
-void TraceRecorder::on_program_end(std::uint64_t retired) {
-  trace_.total_retired = retired;
-}
-
-// ---- session-mode consumer ------------------------------------------------------
-//
 // The shared attribution pass already supplies the kernel on top of the
-// stack and the stack-area classification, so these overrides just build
-// the same Records the standalone listener would: byte-identical output.
+// stack and the stack-area classification, so these hooks just build the
+// Records.
 
 namespace {
 
@@ -347,7 +291,7 @@ class SliceAccumulator {
       const std::uint64_t slice = record.retired / slice_interval_;
       Open& slot = open_[record.kernel];
       if (slot.slice != slice) {
-        if (slot.slice != ~0ull && !slot.counters.empty()) {
+        if (!slot.counters.empty()) {
           out_[record.kernel].push_back(tquad::SliceSample{slot.slice, slot.counters});
         }
         slot.slice = slice;
@@ -366,7 +310,7 @@ class SliceAccumulator {
 
   std::vector<std::vector<tquad::SliceSample>> finish() {
     for (std::size_t k = 0; k < out_.size(); ++k) {
-      if (open_[k].slice != ~0ull && !open_[k].counters.empty()) {
+      if (!open_[k].counters.empty()) {
         out_[k].push_back(tquad::SliceSample{open_[k].slice, open_[k].counters});
       }
     }
@@ -374,8 +318,10 @@ class SliceAccumulator {
   }
 
  private:
+  /// A kernel's open slice. Empty counters mean none is open, so every
+  /// slice number, ~0ull included, is a real one.
   struct Open {
-    std::uint64_t slice = ~0ull;
+    std::uint64_t slice = 0;
     tquad::SliceCounters counters;
   };
 

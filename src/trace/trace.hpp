@@ -4,7 +4,7 @@
 // (slow) instrumented guest pays for every analysis. This module decouples
 // them, the way production DBI setups do (Pin's logger/replayer tools):
 //
-//   * TraceRecorder is an ExecListener that captures the profiler-relevant
+//   * TraceRecorder is a session consumer that captures the profiler-relevant
 //     event stream — routine entries/returns and memory accesses, each
 //     pre-attributed to the kernel on top of the call stack and pre-classified
 //     stack/global — serialisable to the "TQTR" file family: v1 is a flat
@@ -31,7 +31,7 @@
 #include "support/thread_pool.hpp"
 #include "tquad/bandwidth.hpp"
 #include "tquad/callstack.hpp"
-#include "vm/machine.hpp"
+#include "vm/program.hpp"
 
 namespace tq::metrics {
 class Registry;
@@ -118,37 +118,27 @@ struct Trace {
 class TraceV2Writer;  // trace_v2.hpp
 class TraceV2View;    // trace_v2.hpp
 
-/// Records the profiler-relevant event stream of one guest run.
-///
-/// Attribution follows the same call-stack rules as the online tools
-/// (tquad::CallStack with the given library policy); accesses with no
-/// attributable kernel are recorded with kernel = kNoKernel16 so offline
-/// consumers can choose to keep or drop them.
+/// Records the profiler-relevant event stream of one guest run, as a
+/// session::AnalysisConsumer on a ProfileSession: attribution comes from the
+/// session's shared KernelAttribution pass, under the session's library
+/// policy. Accesses with no attributable kernel are recorded with kernel =
+/// kNoKernel16 so offline consumers can choose to keep or drop them.
 ///
 /// In TraceFormat::kV1 mode records are buffered in memory (take() hands
 /// them out). In kV2 mode they stream through a TraceV2Writer block encoder
 /// as they happen — memory stays proportional to the *compressed* trace —
 /// and take_encoded() returns the finished file image.
-///
-/// The recorder runs as a vm::ExecListener (standalone, its own CallStack)
-/// or as a session::AnalysisConsumer on a ProfileSession sharing one run —
-/// and thus one attribution pass — with the other tools. Both modes emit
-/// byte-identical traces for the same run and library policy.
-class TraceRecorder final : public vm::ExecListener,
-                            public session::AnalysisConsumer {
+class TraceRecorder final : public session::AnalysisConsumer {
  public:
+  /// `policy` is ignored: the session's attribution decides every record's
+  /// kernel. (The parameter stays for source compatibility.)
   TraceRecorder(const vm::Program& program,
                 tquad::LibraryPolicy policy = tquad::LibraryPolicy::kExclude,
                 TraceFormat format = TraceFormat::kV1);
   ~TraceRecorder() override;  // out-of-line: TraceV2Writer is incomplete here
 
-  // vm::ExecListener (standalone mode).
-  void on_rtn_enter(std::uint32_t func) override;
-  void on_instr(const vm::InstrEvent& event) override;
-  void on_program_end(std::uint64_t retired) override;
-
-  // session::AnalysisConsumer (session mode). Ticks carry nothing a trace
-  // stores — the retired counters on the other records imply them.
+  // session::AnalysisConsumer. Ticks carry nothing a trace stores — the
+  // retired counters on the other records imply them.
   unsigned event_interests() const override {
     return kEnterInterest | kAccessInterest | kRetInterest;
   }
@@ -185,7 +175,6 @@ class TraceRecorder final : public vm::ExecListener,
   /// Forced inline so every on_* hook encodes without a call.
   [[gnu::always_inline]] void push(const Record& record);
 
-  tquad::CallStack stack_;  ///< standalone attribution; idle in session mode
   Trace trace_;
   std::unique_ptr<TraceV2Writer> writer_;   ///< non-null in kV2 mode
   std::vector<std::uint8_t> encoded_;       ///< sealed v2 image (finalize())

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
-#include "minipin/minipin.hpp"
 #include "wfs/runner.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::cluster {
 namespace {
@@ -98,9 +99,8 @@ TEST(ClusterEdges, MergingNeverIncreasesInterBytes) {
 TEST(ClusterWfs, PipelineNeighboursClusterTogether) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool tool(engine);
-  engine.run();
+  quad::QuadTool tool(run.artifacts.program);
+  testutil::profile_live(run.artifacts.program, run.host, {&tool});
 
   ClusterOptions options;
   options.target_clusters = 4;
@@ -118,9 +118,8 @@ TEST(ClusterWfs, PipelineNeighboursClusterTogether) {
 TEST(ClusterWfs, DescribeNamesKernels) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool tool(engine);
-  engine.run();
+  quad::QuadTool tool(run.artifacts.program);
+  testutil::profile_live(run.artifacts.program, run.host, {&tool});
   const Clustering result = cluster_kernels(tool, ClusterOptions{.target_clusters = 3});
   const std::string text = describe_clustering(tool, result);
   EXPECT_NE(text.find("cluster 1:"), std::string::npos);

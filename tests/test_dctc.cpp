@@ -5,10 +5,11 @@
 #include <cmath>
 
 #include "dctc/dctc.hpp"
-#include "minipin/minipin.hpp"
 #include "tquad/phase.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "vm/machine.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::dctc {
 namespace {
@@ -106,9 +107,8 @@ TEST(Dctc, ThreePhaseProfileUnderTquad) {
   // The encoder's phase structure: load -> per-block transform pipeline ->
   // entropy encode. Distinct from the wfs five-phase shape.
   DctcRun run(DctcConfig::tiny());
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 500});
-  engine.run();
+  tquad::TQuadTool tool(run.artifacts.program, tquad::Options{.slice_interval = 500});
+  testutil::profile_live(run.artifacts.program, run.host, {&tool});
   // Coarse windows must span at least one per-block iteration (~43 slices
   // here) for the per-block kernels to register as co-active; see
   // PhaseOptions::coarse_factor.
@@ -136,9 +136,8 @@ TEST(Dctc, ThreePhaseProfileUnderTquad) {
 
 TEST(Dctc, TransformDominatesTheProfile) {
   DctcRun run(DctcConfig::tiny());
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tool(engine, tquad::Options{});
-  engine.run();
+  tquad::TQuadTool tool(run.artifacts.program, tquad::Options{});
+  testutil::profile_live(run.artifacts.program, run.host, {&tool});
   const auto fdct = *run.artifacts.program.find("fdct8x8");
   std::uint64_t total = 0;
   for (std::uint32_t k = 0; k < tool.kernel_count(); ++k) {

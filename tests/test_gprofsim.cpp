@@ -3,7 +3,8 @@
 
 #include "gasm/builder.hpp"
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::gprof {
 namespace {
@@ -33,14 +34,12 @@ vm::Program make_workload() {
 struct ProfRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
   std::unique_ptr<GprofTool> tool;
 
   explicit ProfRun(vm::Program prog, Options options = {})
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<GprofTool>(*engine, options);
-    engine->run();
+    tool = std::make_unique<GprofTool>(program, options);
+    testutil::profile_live(program, host, {tool.get()}, options.library_policy);
   }
   std::uint32_t id(const std::string& name) const { return *program.find(name); }
 };

@@ -1,31 +1,33 @@
-// Cross-tool integration: multiple tools composed on one engine, and the
+// Cross-tool integration: multiple tools composed on one session, and the
 // consistency invariants that must hold between independent tools measuring
 // the same run.
 #include <gtest/gtest.h>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/quad_tool.hpp"
 #include "tquad/phase.hpp"
 #include "tquad/report.hpp"
 #include "tquad/tquad_tool.hpp"
+#include "vm/machine.hpp"
 #include "wfs/runner.hpp"
 #include "workloads/workloads.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq {
 namespace {
 
-TEST(Integration, ThreeToolsComposeOnOneEngine) {
-  // Pin runs one tool per process; minipin happily multiplexes — all three
-  // tools attach their instrumentation to the same engine and must observe
-  // identical, correct data from a single run.
+TEST(Integration, ThreeToolsComposeOnOneSession) {
+  // Pin runs one tool per process; a ProfileSession multiplexes — all three
+  // tools share one execution and must observe identical, correct data.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tq_tool(engine, tquad::Options{.slice_interval = 1000});
-  quad::QuadTool quad_tool(engine);
-  gprof::GprofTool gprof_tool(engine, {});
-  const vm::RunResult result = engine.run();
+  const vm::Program& program = run.artifacts.program;
+  tquad::TQuadTool tq_tool(program, tquad::Options{.slice_interval = 1000});
+  quad::QuadTool quad_tool(program);
+  gprof::GprofTool gprof_tool(program, {});
+  const vm::RunResult result = testutil::profile_live(
+      program, run.host, {&tq_tool, &quad_tool, &gprof_tool});
 
   EXPECT_EQ(tq_tool.total_retired(), result.retired);
   EXPECT_EQ(gprof_tool.total_retired(), result.retired);
@@ -40,10 +42,10 @@ TEST(Integration, TquadAndQuadAgreeOnBytes) {
   // accesses through independent data paths.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tq_tool(engine, tquad::Options{.slice_interval = 5000});
-  quad::QuadTool quad_tool(engine);
-  engine.run();
+  tquad::TQuadTool tq_tool(run.artifacts.program,
+                           tquad::Options{.slice_interval = 5000});
+  quad::QuadTool quad_tool(run.artifacts.program);
+  testutil::profile_live(run.artifacts.program, run.host, {&tq_tool, &quad_tool});
 
   for (std::uint32_t k = 0; k < tq_tool.kernel_count(); ++k) {
     if (!tq_tool.reported(k)) continue;
@@ -58,10 +60,9 @@ TEST(Integration, TquadAndQuadAgreeOnBytes) {
 TEST(Integration, GprofAndTquadAgreeOnCallsAndInstructions) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tq_tool(engine, tquad::Options{});
-  gprof::GprofTool gprof_tool(engine, {});
-  engine.run();
+  tquad::TQuadTool tq_tool(run.artifacts.program, tquad::Options{});
+  gprof::GprofTool gprof_tool(run.artifacts.program, {});
+  testutil::profile_live(run.artifacts.program, run.host, {&tq_tool, &gprof_tool});
   for (std::uint32_t k = 0; k < tq_tool.kernel_count(); ++k) {
     if (!tq_tool.reported(k)) continue;
     EXPECT_EQ(tq_tool.activity(k).calls, gprof_tool.calls(k))
@@ -73,9 +74,9 @@ TEST(Integration, InstructionConservation) {
   // Attributed + unattributed instruction counts cover the whole run.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tool(engine, tquad::Options{});
-  const vm::RunResult result = engine.run();
+  tquad::TQuadTool tool(run.artifacts.program, tquad::Options{});
+  const vm::RunResult result =
+      testutil::profile_live(run.artifacts.program, run.host, {&tool});
   std::uint64_t attributed = 0;
   for (std::uint32_t k = 0; k < tool.kernel_count(); ++k) {
     attributed += tool.activity(k).instructions;
@@ -104,10 +105,9 @@ TEST(Integration, ByteConservationAgainstGroundTruth) {
   }
 
   vm::HostEnv host;
-  pin::Engine engine(art.program, host);
-  tquad::TQuadTool tool(engine,
-                        tquad::Options{.library_policy = tquad::LibraryPolicy::kTrack});
-  engine.run();
+  constexpr tquad::LibraryPolicy kTrack = tquad::LibraryPolicy::kTrack;
+  tquad::TQuadTool tool(art.program, tquad::Options{.library_policy = kTrack});
+  testutil::profile_live(art.program, host, {&tool}, kTrack);
   std::uint64_t attributed_reads = 0;
   std::uint64_t attributed_writes = 0;
   for (std::uint32_t k = 0; k < tool.kernel_count(); ++k) {
@@ -123,9 +123,8 @@ TEST(Integration, QuadOutNeverExceedsConsumedBytes) {
   // == bytes read from produced locations <= total IN bytes.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool tool(engine);
-  engine.run();
+  quad::QuadTool tool(run.artifacts.program);
+  testutil::profile_live(run.artifacts.program, run.host, {&tool});
   std::uint64_t total_out = 0;
   std::uint64_t total_in = 0;
   for (std::uint32_t k = 0; k < tool.kernel_count(); ++k) {
@@ -141,9 +140,8 @@ TEST(Integration, QuadOutNeverExceedsConsumedBytes) {
 TEST(Integration, PhasesCoverEveryActiveKernelOnWfs) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 500});
-  engine.run();
+  tquad::TQuadTool tool(run.artifacts.program, tquad::Options{.slice_interval = 500});
+  testutil::profile_live(run.artifacts.program, run.host, {&tool});
   const auto phases = tquad::detect_phases(tool);
   std::size_t member_count = 0;
   for (const auto& phase : phases) member_count += phase.kernels.size();

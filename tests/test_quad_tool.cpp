@@ -6,10 +6,11 @@
 #include <tuple>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/instrumented_profile.hpp"
 #include "quad/quad_tool.hpp"
 #include "support/rng.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::quad {
 namespace {
@@ -22,14 +23,12 @@ using gasm::SP;
 struct QuadRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
   std::unique_ptr<QuadTool> tool;
 
   explicit QuadRun(vm::Program prog, QuadOptions options = {})
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<QuadTool>(*engine, options);
-    engine->run();
+    tool = std::make_unique<QuadTool>(program, options);
+    testutil::profile_live(program, host, {tool.get()}, options.library_policy);
   }
   std::uint32_t id(const std::string& name) const { return *program.find(name); }
 };

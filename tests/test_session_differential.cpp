@@ -1,18 +1,15 @@
 // Differential sweep for the single-pass ProfileSession: for every workload
 // in the zoo registry (all memory shapes, wfs included), running tQUAD +
-// QUAD + gprofsim + the trace recorder simultaneously on ONE guest execution
-// must be bit-identical to running each tool standalone on its own execution
-// (the paper's four separate runs). This is the acceptance property of the
-// session layer: the shared KernelAttribution pass loses nothing relative to
-// each tool's private call stack. The standalone tQUAD run doubles as the
-// golden-model check that the guest computed the right answer.
+// QUAD + gprofsim + the trace recorder together in ONE session must be
+// bit-identical to running each of them alone in its own session (the
+// paper's four separate runs). Consumers must not interfere: the shared
+// KernelAttribution pass delivers each one the same stream whatever else is
+// attached. (test_workload_zoo verifies every guest's computed answer.)
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/quad_tool.hpp"
 #include "session/session.hpp"
 #include "trace/trace.hpp"
@@ -20,6 +17,7 @@
 #include "wfs/runner.hpp"
 #include "workloads/registry.hpp"
 
+#include "profile_run.hpp"
 #include "session_tool_compare.hpp"
 
 namespace tq::session {
@@ -28,62 +26,48 @@ namespace {
 constexpr std::uint64_t kSlice = 1000;
 constexpr std::uint64_t kSamplePeriod = 700;
 
-/// Five hosts: four standalone runs (one per tool, the paper's workflow) and
-/// one session run feeding all four at once. `inspect_tquad_run`, when set,
-/// sees the machine of the standalone tQUAD execution after it halts (the
-/// hook the golden-model verification uses).
+/// Five hosts: four single-tool sessions (one per tool, the paper's
+/// workflow) and one session feeding all four at once.
 void check_program(const vm::Program& program, vm::HostEnv* (&hosts)[5],
-                   tquad::LibraryPolicy policy,
-                   const std::function<void(vm::Machine&)>& inspect_tquad_run = {}) {
+                   tquad::LibraryPolicy policy) {
   const tquad::Options tquad_options{.slice_interval = kSlice,
                                      .library_policy = policy};
   const quad::QuadOptions quad_options{policy};
   gprof::Options gprof_options;
   gprof_options.sample_period = kSamplePeriod;
   gprof_options.library_policy = policy;
+  const auto format = trace::TraceFormat::kV2;
 
-  // Standalone: one dedicated execution per tool.
-  pin::Engine tquad_engine(program, *hosts[0]);
-  tquad::TQuadTool tquad_alone(tquad_engine, tquad_options);
-  tquad_engine.run();
-  if (inspect_tquad_run) inspect_tquad_run(tquad_engine.machine());
+  // Alone: one dedicated session per tool.
+  tquad::TQuadTool tquad_alone(program, tquad_options);
+  testutil::profile_live(program, *hosts[0], {&tquad_alone}, policy);
+  quad::QuadTool quad_alone(program, quad_options);
+  testutil::profile_live(program, *hosts[1], {&quad_alone}, policy);
+  gprof::GprofTool gprof_alone(program, gprof_options);
+  testutil::profile_live(program, *hosts[2], {&gprof_alone}, policy);
+  trace::TraceRecorder recorder_alone(program, policy, format);
+  testutil::profile_live(program, *hosts[3], {&recorder_alone}, policy);
 
-  pin::Engine quad_engine(program, *hosts[1]);
-  quad::QuadTool quad_alone(quad_engine, quad_options);
-  quad_engine.run();
+  // Together: all four tools share one execution and one attribution pass.
+  tquad::TQuadTool tquad_shared(program, tquad_options);
+  quad::QuadTool quad_shared(program, quad_options);
+  gprof::GprofTool gprof_shared(program, gprof_options);
+  trace::TraceRecorder recorder_shared(program, policy, format);
+  testutil::profile_live(
+      program, *hosts[4],
+      {&tquad_shared, &quad_shared, &gprof_shared, &recorder_shared}, policy);
 
-  pin::Engine gprof_engine(program, *hosts[2]);
-  gprof::GprofTool gprof_alone(gprof_engine, gprof_options);
-  gprof_engine.run();
-
-  trace::TraceRecorder recorder_alone(program, policy, trace::TraceFormat::kV2);
-  vm::Machine machine(program, *hosts[3]);
-  machine.run(&recorder_alone);
-
-  // Session: all four tools share one execution and one attribution pass.
-  ProfileSession session(program, SessionConfig{.library_policy = policy});
-  tquad::TQuadTool tquad_session(program, tquad_options);
-  quad::QuadTool quad_session(program, quad_options);
-  gprof::GprofTool gprof_session(program, gprof_options);
-  trace::TraceRecorder recorder_session(program, policy, trace::TraceFormat::kV2);
-  session.add_consumer(tquad_session);
-  session.add_consumer(quad_session);
-  session.add_consumer(gprof_session);
-  session.add_consumer(recorder_session);
-  session.run_live(*hosts[4]);
-
-  testutil::expect_tquad_equal(tquad_alone, tquad_session);
-  testutil::expect_quad_equal(quad_alone, quad_session);
-  testutil::expect_gprof_equal(gprof_alone, gprof_session);
-  EXPECT_EQ(recorder_alone.take_encoded(), recorder_session.take_encoded());
+  testutil::expect_tquad_equal(tquad_alone, tquad_shared);
+  testutil::expect_quad_equal(quad_alone, quad_shared);
+  testutil::expect_gprof_equal(gprof_alone, gprof_shared);
+  EXPECT_EQ(recorder_alone.take_encoded(), recorder_shared.take_encoded());
 }
 
 /// One test per registered workload: every memory shape in the zoo gets the
-/// combined-equals-standalone contract, plus the golden-model verification
-/// of the standalone tQUAD execution.
+/// shared-equals-alone contract.
 class SessionDifferentialZoo : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(SessionDifferentialZoo, CombinedEqualsStandalone) {
+TEST_P(SessionDifferentialZoo, SharedEqualsAlone) {
   const workloads::Entry& entry = workloads::find_workload(GetParam());
   workloads::Instance runs[5] = {entry.build(), entry.build(), entry.build(),
                                  entry.build(), entry.build()};
@@ -94,11 +78,7 @@ TEST_P(SessionDifferentialZoo, CombinedEqualsStandalone) {
   }
   vm::HostEnv* hosts[5] = {&runs[0].host, &runs[1].host, &runs[2].host,
                            &runs[3].host, &runs[4].host};
-  check_program(runs[0].program, hosts, tquad::LibraryPolicy::kExclude,
-                [&](vm::Machine& machine) {
-                  ASSERT_TRUE(runs[0].verify) << entry.name;
-                  EXPECT_EQ(runs[0].verify(runs[0], machine), "") << entry.name;
-                });
+  check_program(runs[0].program, hosts, tquad::LibraryPolicy::kExclude);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, SessionDifferentialZoo,

@@ -2,8 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
 #include "tquad/consensus.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::tquad {
 namespace {
@@ -32,9 +33,8 @@ vm::Program steady_program() {
 void run_pass(const vm::Program& program, std::uint64_t slice,
               BandwidthConsensus& consensus) {
   vm::HostEnv host;
-  pin::Engine engine(program, host);
-  TQuadTool tool(engine, Options{.slice_interval = slice});
-  engine.run();
+  TQuadTool tool(program, Options{.slice_interval = slice});
+  testutil::profile_live(program, host, {&tool});
   consensus.add_pass(tool);
 }
 

@@ -9,9 +9,10 @@
 #include <map>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
 #include "tquad/phase.hpp"
 #include "tquad/tquad_tool.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::tquad {
 namespace {
@@ -57,14 +58,12 @@ vm::Program make_staged_program(const std::vector<StageSpec>& stages) {
 struct PhaseRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
   std::unique_ptr<TQuadTool> tool;
 
   explicit PhaseRun(vm::Program prog, std::uint64_t slice = kSlice)
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<TQuadTool>(*engine, Options{.slice_interval = slice});
-    engine->run();
+    tool = std::make_unique<TQuadTool>(program, Options{.slice_interval = slice});
+    testutil::profile_live(program, host, {tool.get()});
   }
 };
 

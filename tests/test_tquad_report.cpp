@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
 #include "tquad/report.hpp"
 #include "tquad/tquad_tool.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::tquad {
 namespace {
@@ -38,14 +39,12 @@ TEST(CpuModel, PaperDefaults) {
 struct ReportRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
   std::unique_ptr<TQuadTool> tool;
 
   explicit ReportRun(vm::Program prog, std::uint64_t slice = 100)
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<TQuadTool>(*engine, Options{.slice_interval = slice});
-    engine->run();
+    tool = std::make_unique<TQuadTool>(program, Options{.slice_interval = slice});
+    testutil::profile_live(program, host, {tool.get()});
   }
 };
 

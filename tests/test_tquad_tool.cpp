@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
 #include "tquad/phase.hpp"
 #include "tquad/report.hpp"
 #include "tquad/tquad_tool.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::tquad {
 namespace {
@@ -61,14 +62,12 @@ vm::Program make_traffic_program() {
 struct ToolRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
   std::unique_ptr<TQuadTool> tool;
 
   explicit ToolRun(vm::Program prog, Options options = {})
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<TQuadTool>(*engine, options);
-    engine->run();
+    tool = std::make_unique<TQuadTool>(program, options);
+    testutil::profile_live(program, host, {tool.get()}, options.library_policy);
   }
 };
 
@@ -154,14 +153,6 @@ TEST(TQuadTool, PrefetchesAreSkippedByDefault) {
       << "only the real load counts";
 }
 
-TEST(TQuadTool, PrefetchCountingOption) {
-  Options opt{.slice_interval = 100, .count_prefetch = true};
-  ToolRun run(make_prefetch_program(), opt);
-  const auto main_id = *run.program.find("main");
-  EXPECT_EQ(run.tool->bandwidth().kernel(main_id).totals.read_incl, 16u)
-      << "prefetch counted as an 8B read when enabled";
-}
-
 TEST(TQuadTool, PredicatedOffAccessesNotCounted) {
   ProgramBuilder prog;
   const auto buf = prog.alloc_global("buf", 64);
@@ -227,9 +218,16 @@ TEST(TQuadTool, DenseSeriesMatchesSamples) {
 }
 
 TEST(TQuadTool, MismatchFreeCallStackOnRealProgram) {
-  ToolRun run(make_traffic_program(), Options{});
-  EXPECT_EQ(run.tool->callstack().mismatched_pops(), 0u);
-  EXPECT_EQ(run.tool->callstack().depth(), 1u) << "main never returns (halts)";
+  // The session's shared stack is the one the tool's attribution came from.
+  const vm::Program program = make_traffic_program();
+  vm::HostEnv host;
+  session::ProfileSession session(program);
+  TQuadTool tool(program, Options{});
+  session.add_consumer(tool);
+  session.run_live(host);
+  const CallStack& stack = session.attribution().callstack();
+  EXPECT_EQ(stack.mismatched_pops(), 0u);
+  EXPECT_EQ(stack.depth(), 1u) << "main never returns (halts)";
 }
 
 }  // namespace

@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "wfs/runner.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::trace {
 namespace {
@@ -50,9 +51,22 @@ vm::Program make_mixed_program() {
 Trace record_trace(const vm::Program& program) {
   vm::HostEnv host;
   TraceRecorder recorder(program);
-  vm::Machine machine(program, host);
-  machine.run(&recorder);
+  testutil::profile_live(program, host, {&recorder});
   return recorder.take();
+}
+
+void expect_same_bandwidth(const tquad::KernelBandwidth& a,
+                           const tquad::KernelBandwidth& b) {
+  ASSERT_EQ(a.series.size(), b.series.size());
+  for (std::size_t i = 0; i < a.series.size(); ++i) {
+    EXPECT_EQ(a.series[i].slice, b.series[i].slice);
+    EXPECT_EQ(a.series[i].counters.read_incl, b.series[i].counters.read_incl);
+    EXPECT_EQ(a.series[i].counters.read_excl, b.series[i].counters.read_excl);
+    EXPECT_EQ(a.series[i].counters.write_incl, b.series[i].counters.write_incl);
+    EXPECT_EQ(a.series[i].counters.write_excl, b.series[i].counters.write_excl);
+  }
+  EXPECT_EQ(a.totals.read_incl, b.totals.read_incl);
+  EXPECT_EQ(a.totals.write_incl, b.totals.write_incl);
 }
 
 TEST(TraceRecorder, CapturesMemoryAndControlEvents) {
@@ -279,9 +293,8 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
 
   // Online run.
   vm::HostEnv host1;
-  pin::Engine engine(program, host1);
-  tquad::TQuadTool online(engine, tquad::Options{.slice_interval = slice});
-  engine.run();
+  tquad::TQuadTool online(program, tquad::Options{.slice_interval = slice});
+  testutil::profile_live(program, host1, {&online});
 
   // Offline from a recorded trace.
   const Trace trace = record_trace(program);
@@ -290,19 +303,30 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
 
   ASSERT_EQ(offline.kernel_count(), online.kernel_count());
   for (std::uint32_t k = 0; k < online.kernel_count(); ++k) {
-    const auto& a = online.bandwidth().kernel(k);
-    const auto& b = offline.kernel(k);
-    ASSERT_EQ(a.series.size(), b.series.size()) << "kernel " << k;
-    for (std::size_t i = 0; i < a.series.size(); ++i) {
-      EXPECT_EQ(a.series[i].slice, b.series[i].slice);
-      EXPECT_EQ(a.series[i].counters.read_incl, b.series[i].counters.read_incl);
-      EXPECT_EQ(a.series[i].counters.read_excl, b.series[i].counters.read_excl);
-      EXPECT_EQ(a.series[i].counters.write_incl, b.series[i].counters.write_incl);
-      EXPECT_EQ(a.series[i].counters.write_excl, b.series[i].counters.write_excl);
-    }
-    EXPECT_EQ(a.totals.read_incl, b.totals.read_incl);
-    EXPECT_EQ(a.totals.write_incl, b.totals.write_incl);
+    SCOPED_TRACE("kernel " + std::to_string(k));
+    expect_same_bandwidth(online.bandwidth().kernel(k), offline.kernel(k));
   }
+
+  // One access at the last representable retired count: its slice is as
+  // real as any other (~0ull at interval 1), online and offline.
+  Record last{};
+  last.retired = ~0ull;
+  last.kind = EventKind::kRead;
+  last.size = 8;
+  last.kernel = 0;
+  Trace last_trace;
+  last_trace.kernel_count = 1;
+  last_trace.records.push_back(last);
+  OfflineBandwidth last_offline(1, slice);
+  last_offline.aggregate(last_trace);
+  tquad::BandwidthRecorder last_online(1, slice);
+  last_online.on_access(0, last.retired, last.size, /*is_read=*/true,
+                        /*is_stack=*/false);
+  last_online.finish();
+  ASSERT_EQ(last_online.kernel(0).series.size(), 1u);
+  EXPECT_EQ(last_online.kernel(0).totals.read_incl, 8u);
+  SCOPED_TRACE("one access at retired 2^64-1");
+  expect_same_bandwidth(last_online.kernel(0), last_offline.kernel(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(Slices, OfflineEquivalence,
@@ -338,14 +362,13 @@ TEST(OfflineBandwidth, WfsTraceMatchesOnline) {
   // Integration: the full (tiny) wfs run, online vs offline.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun online_run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(online_run.artifacts.program, online_run.host);
-  tquad::TQuadTool online(engine, tquad::Options{.slice_interval = 500});
-  engine.run();
+  tquad::TQuadTool online(online_run.artifacts.program,
+                          tquad::Options{.slice_interval = 500});
+  testutil::profile_live(online_run.artifacts.program, online_run.host, {&online});
 
   wfs::WfsRun trace_run = wfs::prepare_wfs_run(cfg);
   TraceRecorder recorder(trace_run.artifacts.program);
-  vm::Machine machine(trace_run.artifacts.program, trace_run.host);
-  machine.run(&recorder);
+  testutil::profile_live(trace_run.artifacts.program, trace_run.host, {&recorder});
   const Trace trace = recorder.take();
 
   OfflineBandwidth offline(trace.kernel_count, 500);

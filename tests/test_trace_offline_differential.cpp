@@ -8,12 +8,13 @@
 #include <string>
 #include <tuple>
 
-#include "minipin/minipin.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "workloads/registry.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::trace {
 namespace {
@@ -52,13 +53,11 @@ void expect_matches_online(const tquad::TQuadTool& online,
 /// path must reproduce the online counters exactly.
 void check_program(const vm::Program& program, vm::HostEnv& online_host,
                    vm::HostEnv& trace_host, std::uint64_t slice) {
-  pin::Engine engine(program, online_host);
-  tquad::TQuadTool online(engine, tquad::Options{.slice_interval = slice});
-  engine.run();
+  tquad::TQuadTool online(program, tquad::Options{.slice_interval = slice});
+  testutil::profile_live(program, online_host, {&online});
 
   TraceRecorder recorder(program);
-  vm::Machine machine(program, trace_host);
-  machine.run(&recorder);
+  testutil::profile_live(program, trace_host, {&recorder});
   const Trace trace = recorder.take();
 
   ThreadPool pool(3);

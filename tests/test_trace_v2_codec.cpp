@@ -12,7 +12,8 @@
 #include "support/rng.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
-#include "vm/machine.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::trace {
 namespace {
@@ -595,16 +596,14 @@ TEST(V2Writer, StreamingRecorderMatchesBatchEncoder) {
   auto run = [&](TraceFormat format) {
     vm::HostEnv host;
     TraceRecorder recorder(program, tquad::LibraryPolicy::kExclude, format);
-    vm::Machine machine(program, host);
-    machine.run(&recorder);
+    testutil::profile_live(program, host, {&recorder});
     return recorder.take_encoded();
   };
   const auto streamed = run(TraceFormat::kV2);
   const Trace buffered = [&] {
     vm::HostEnv host;
     TraceRecorder recorder(program);
-    vm::Machine machine(program, host);
-    machine.run(&recorder);
+    testutil::profile_live(program, host, {&recorder});
     return recorder.take();
   }();
   EXPECT_GT(buffered.records.size(), 500u);
@@ -681,8 +680,7 @@ TEST(V2Size, CompressesTheMixedProgramTrace) {
   const vm::Program program = prog.build("main");
   vm::HostEnv host;
   TraceRecorder recorder(program);
-  vm::Machine machine(program, host);
-  machine.run(&recorder);
+  testutil::profile_live(program, host, {&recorder});
   const Trace trace = recorder.take();
   const auto v1 = trace.serialize();
   const auto v2 = serialize_v2(trace);

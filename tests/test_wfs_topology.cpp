@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
+#include "vm/machine.hpp"
 #include "wfs/runner.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::wfs {
 namespace {
@@ -27,9 +29,8 @@ class WfsTopology : public ::testing::TestWithParam<WfsConfig> {};
 TEST_P(WfsTopology, CallCountRelationsHold) {
   const WfsConfig cfg = GetParam();
   WfsRun run = prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  gprof::GprofTool tool(engine, {});
-  engine.run();
+  gprof::GprofTool tool(run.artifacts.program, {});
+  testutil::profile_live(run.artifacts.program, run.host, {&tool});
   auto calls = [&](const char* name) {
     return tool.calls(*run.artifacts.program.find(name));
   };

@@ -3,11 +3,12 @@
 // under tQUAD.
 #include <gtest/gtest.h>
 
-#include "minipin/minipin.hpp"
 #include "tquad/report.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "vm/machine.hpp"
 #include "workloads/workloads.hpp"
+
+#include "profile_run.hpp"
 
 namespace tq::workloads {
 namespace {
@@ -37,9 +38,8 @@ TEST(StreamWorkload, ComputesStreamSemantics) {
 TEST(StreamWorkload, CopyKernelIsBandwidthDominant) {
   StreamArtifacts art = build_stream(512, 1);
   vm::HostEnv host;
-  pin::Engine engine(art.program, host);
-  tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 200});
-  engine.run();
+  tquad::TQuadTool tool(art.program, tquad::Options{.slice_interval = 200});
+  testutil::profile_live(art.program, host, {&tool});
   const auto copy_id = *art.program.find("stream_copy");
   const auto scale_id = *art.program.find("stream_scale");
   const auto copy_stats =
@@ -79,10 +79,9 @@ TEST(MatmulWorkload, NaiveAndTiledMoveSameDataDifferently) {
   auto run_tool = [&](bool tiled) {
     MatmulArtifacts art = build_matmul(n, tiled, 4);
     vm::HostEnv host;
-    pin::Engine engine(art.program, host);
     auto tool = std::make_unique<tquad::TQuadTool>(
-        engine, tquad::Options{.slice_interval = 1'000'000});
-    engine.run();
+        art.program, tquad::Options{.slice_interval = 1'000'000});
+    testutil::profile_live(art.program, host, {tool.get()});
     const auto id = *art.program.find(tiled ? "matmul_tiled" : "matmul_naive");
     return tool->bandwidth().kernel(id).totals;
   };
@@ -118,9 +117,8 @@ TEST(ChaseWorkload, CycleVisitsEveryNodeOnce) {
 TEST(ChaseWorkload, LowBytesPerInstructionSignature) {
   ChaseArtifacts art = build_chase(1024, 50'000);
   vm::HostEnv host;
-  pin::Engine engine(art.program, host);
-  tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 1000});
-  engine.run();
+  tquad::TQuadTool tool(art.program, tquad::Options{.slice_interval = 1000});
+  testutil::profile_live(art.program, host, {&tool});
   const auto id = *art.program.find("chase");
   const auto stats = tquad::bandwidth_stats(tool.bandwidth().kernel(id), 1000);
   // One 8-byte read per ~4-instruction hop: ~2 B/instr, far below streaming.
@@ -147,9 +145,8 @@ TEST(HistogramWorkload, CountsMatchHostReference) {
 TEST(HistogramWorkload, TouchesOnlyTheBucketArray) {
   HistogramArtifacts art = build_histogram(32, 5'000);
   vm::HostEnv host;
-  pin::Engine engine(art.program, host);
-  tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 100'000});
-  engine.run();
+  tquad::TQuadTool tool(art.program, tquad::Options{.slice_interval = 100'000});
+  testutil::profile_live(art.program, host, {&tool});
   const auto id = *art.program.find("histogram");
   const auto& totals = tool.bandwidth().kernel(id).totals;
   // Read-modify-write: 8 bytes in, 8 bytes out per sample (plus the ret).

@@ -13,11 +13,12 @@
 #include <sstream>
 
 #include "gasm/asm_parser.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "tquad/phase.hpp"
 #include "tquad/report.hpp"
 #include "tquad/tquad_tool.hpp"
+#include "vm/machine.hpp"
 
 namespace {
 
@@ -74,12 +75,14 @@ int main(int argc, char** argv) {
     // (3) tells scripts the run did not complete.
     vm::RunOutcome result;
     if (cli.flag("profile")) {
-      pin::Engine engine(program, host);
+      session::SessionConfig config;
+      config.instruction_budget = static_cast<std::uint64_t>(cli.integer("budget"));
+      session::ProfileSession profile(program, config);
       tquad::TQuadTool tool(
-          engine, tquad::Options{.slice_interval =
-                                     static_cast<std::uint64_t>(cli.integer("slice"))});
-      engine.set_instruction_budget(static_cast<std::uint64_t>(cli.integer("budget")));
-      result = engine.run();
+          program, tquad::Options{.slice_interval =
+                                      static_cast<std::uint64_t>(cli.integer("slice"))});
+      profile.add_consumer(tool);
+      result = profile.run_live(host);
       if (!result.complete()) {
         std::fprintf(stderr, "asm_run: %s\n", result.summary().c_str());
       }
