@@ -11,13 +11,18 @@
 //
 // google-benchmark drives the steady-state measurements on the tiny
 // configuration; a one-shot standard-configuration run prints the headline
-// slowdown table.
+// slowdown table, then the gates run (session, pipeline, metrics, jit).
+// `bench_overhead --pipeline-gate` runs only the parallel-pipeline gate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "gprofsim/gprof_tool.hpp"
 #include "quad/quad_tool.hpp"
@@ -262,16 +267,62 @@ bool print_session_speedup() {
   return true;
 }
 
-/// One-shot serial-vs-parallel pipeline comparison across the whole
-/// workload zoo at bench scale, with a machine-readable BENCH_pipeline.json
-/// for CI.
+/// Median and quartiles of a set of timed trials. The gates compare
+/// medians: a minimum rewards whichever variant got the luckiest run, and
+/// on a shared host one lucky run flips a verdict.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return Spread{at(0.5), at(0.25), at(0.75)};
+}
+
+/// Trials per variant in every median-based gate.
+constexpr int kTrials = 9;
+
+/// Time `a` and `b` kTrials times each, alternating which goes first, so
+/// clock/load drift over the window biases both variants equally.
+template <typename A, typename B>
+std::pair<Spread, Spread> alternated_trials(A&& a, B&& b) {
+  std::vector<double> as;
+  std::vector<double> bs;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    if (trial % 2 == 0) {
+      as.push_back(a());
+      bs.push_back(b());
+    } else {
+      bs.push_back(b());
+      as.push_back(a());
+    }
+  }
+  return {spread_of(std::move(as)), spread_of(std::move(bs))};
+}
+
+std::string format_spread(const Spread& s) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.4f [%.4f, %.4f]", s.median, s.q1, s.q3);
+  return buf;
+}
+
+/// Serial-vs-parallel pipeline comparison across the whole workload zoo at
+/// bench scale, with a machine-readable BENCH_pipeline.json for CI.
 ///
-/// Per workload: best-of-kReps serial vs `-pipeline parallel:4` minima with
-/// the measurement order alternating every rep (so clock/load drift over
-/// the window biases both variants equally instead of always penalising
-/// whichever runs second). The gate requires parallel:4 >= 1.2x serial on
+/// Per workload: kTrials serial and `-pipeline parallel:4` trio sessions,
+/// alternated; the speed-up is the ratio of the medians, printed next to
+/// each side's quartiles. The gate requires parallel:4 >= 1.2x serial on
 /// at least (zoo - 2) workloads — the pipeline must win across memory
-/// shapes, not just on one streaming-friendly case.
+/// shapes, not just on one streaming-friendly case. The standard wfs trio,
+/// serial vs parallel:4, is reported below the table (not gated).
 ///
 /// The floor is enforced only when the machine actually has >= 4 hardware
 /// threads: on smaller hosts (CI containers are often single-core) the
@@ -281,27 +332,25 @@ bool print_session_speedup() {
 /// `"gate": "skipped:hw_threads<4"` and the skip is printed to stderr.
 bool print_pipeline_speedup() {
   const tquad::Options tquad_options{.slice_interval = 5000};
-  constexpr int kReps = 3;
   constexpr double kFloor = 1.2;
   const unsigned cores = std::thread::hardware_concurrency();
   const bool gate_applicable = cores >= 4;
 
-  const auto run_zoo_session = [&](const workloads::Entry& entry,
-                                   const session::PipelineOptions& pipeline) {
-    // Workload construction stays outside the timed region: the measurement
-    // is the profiling run, exactly what a -pipeline switch changes.
-    workloads::Instance instance = entry.build_bench();
+  // Guest construction stays outside the timed region: the measurement is
+  // the profiling run, exactly what a -pipeline switch changes.
+  const auto run_trio = [&](const vm::Program& program, vm::HostEnv& host,
+                            const session::PipelineOptions& pipeline) {
     session::SessionConfig config;
     config.pipeline = pipeline;
     return time_once([&] {
-      session::ProfileSession profile(instance.program, config);
-      tquad::TQuadTool tquad_tool(instance.program, tquad_options);
-      quad::QuadTool quad_tool(instance.program);
-      gprof::GprofTool gprof_tool(instance.program, {});
+      session::ProfileSession profile(program, config);
+      tquad::TQuadTool tquad_tool(program, tquad_options);
+      quad::QuadTool quad_tool(program);
+      gprof::GprofTool gprof_tool(program, {});
       profile.add_consumer(tquad_tool);
       profile.add_consumer(quad_tool);
       profile.add_consumer(gprof_tool);
-      benchmark::DoNotOptimize(profile.run_live(instance.host));
+      benchmark::DoNotOptimize(profile.run_live(host));
     });
   };
   session::PipelineOptions par4;
@@ -310,30 +359,33 @@ bool print_pipeline_speedup() {
 
   struct Row {
     std::string name;
-    double serial_s = 0.0;
-    double par4_s = 0.0;
-    double speedup() const { return serial_s / par4_s; }
+    Spread serial;
+    Spread par4;
+    double speedup() const { return serial.median / par4.median; }
   };
   std::vector<Row> rows;
   const auto& zoo = workloads::registry();
   rows.reserve(zoo.size());
   for (const workloads::Entry& entry : zoo) {
-    Row row;
-    row.name = entry.name;
-    for (int rep = 0; rep < kReps; ++rep) {
-      double serial, par;
-      if (rep % 2 == 0) {
-        serial = run_zoo_session(entry, {});
-        par = run_zoo_session(entry, par4);
-      } else {
-        par = run_zoo_session(entry, par4);
-        serial = run_zoo_session(entry, {});
-      }
-      if (rep == 0 || serial < row.serial_s) row.serial_s = serial;
-      if (rep == 0 || par < row.par4_s) row.par4_s = par;
-    }
-    rows.push_back(row);
+    const auto timed = [&](const session::PipelineOptions& pipeline) {
+      return [&, pipeline] {
+        workloads::Instance instance = entry.build_bench();
+        return run_trio(instance.program, instance.host, pipeline);
+      };
+    };
+    const auto [serial, par] = alternated_trials(timed({}), timed(par4));
+    rows.push_back(Row{entry.name, serial, par});
   }
+  const wfs::WfsConfig wfs_cfg = wfs::WfsConfig::standard();
+  const auto timed_wfs = [&](const session::PipelineOptions& pipeline) {
+    return [&, pipeline] {
+      wfs::WfsRun run = wfs::prepare_wfs_run(wfs_cfg);
+      return run_trio(run.artifacts.program, run.host, pipeline);
+    };
+  };
+  const auto [wfs_serial, wfs_par] =
+      alternated_trials(timed_wfs({}), timed_wfs(par4));
+  const Row wfs_row{"wfs standard", wfs_serial, wfs_par};
 
   std::size_t winners = 0;
   for (const Row& row : rows) {
@@ -342,17 +394,22 @@ bool print_pipeline_speedup() {
   const std::size_t needed = zoo.size() > 2 ? zoo.size() - 2 : zoo.size();
   const char* gate = gate_applicable ? "enforced" : "skipped:hw_threads<4";
 
-  std::printf("\n== parallel pipeline vs serial dispatch (zoo at bench scale, "
-              "%u hardware threads) ==\n", cores);
-  std::printf("%-14s %12s %14s %10s\n", "workload", "serial (s)",
+  std::printf("\n== parallel pipeline vs serial dispatch (trio, zoo at bench "
+              "scale, %u hardware threads; median [q1, q3] of %d alternated "
+              "trials) ==\n", cores, kTrials);
+  std::printf("%-14s %28s %28s %9s\n", "workload", "serial (s)",
               "parallel:4 (s)", "speedup");
-  for (const Row& row : rows) {
-    std::printf("%-14s %12.3f %14.3f %9.2fx%s\n", row.name.c_str(),
-                row.serial_s, row.par4_s, row.speedup(),
-                row.speedup() >= kFloor ? "" : "  (below floor)");
-  }
+  const auto print_row = [&](const Row& row, bool gated) {
+    std::printf("%-14s %28s %28s %8.2fx%s\n", row.name.c_str(),
+                format_spread(row.serial).c_str(),
+                format_spread(row.par4).c_str(), row.speedup(),
+                !gated ? "  (reported, not gated)"
+                       : row.speedup() >= kFloor ? "" : "  (below floor)");
+  };
+  for (const Row& row : rows) print_row(row, true);
   std::printf("%-44s %zu of %zu >= %.2fx (need %zu; gate %s)\n",
               "parallel:4 floor", winners, rows.size(), kFloor, needed, gate);
+  print_row(wfs_row, false);
   if (!gate_applicable) {
     std::fprintf(stderr,
                  "pipeline gate skipped: %u hardware threads < 4, parallel:4 "
@@ -362,24 +419,34 @@ bool print_pipeline_speedup() {
 
   std::FILE* json = std::fopen("BENCH_pipeline.json", "w");
   if (json != nullptr) {
+    const auto row_json = [&](const Row& row) {
+      std::fprintf(json,
+                   "{\"name\": \"%s\", \"serial_median_seconds\": %.6f, "
+                   "\"serial_q1\": %.6f, \"serial_q3\": %.6f, "
+                   "\"parallel4_median_seconds\": %.6f, \"parallel4_q1\": %.6f, "
+                   "\"parallel4_q3\": %.6f, \"speedup\": %.3f}",
+                   row.name.c_str(), row.serial.median, row.serial.q1,
+                   row.serial.q3, row.par4.median, row.par4.q1, row.par4.q3,
+                   row.speedup());
+    };
     std::fprintf(json, "{\n");
     tq::bench::write_env_json_fields(json);
     std::fprintf(json,
                  "  \"tools\": \"tquad+quad+gprof\",\n"
                  "  \"hardware_threads\": %u,\n"
+                 "  \"trials\": %d,\n"
                  "  \"speedup_floor\": %.2f,\n"
                  "  \"workloads_at_floor\": %zu,\n"
                  "  \"workloads_needed\": %zu,\n"
                  "  \"gate\": \"%s\",\n"
-                 "  \"workloads\": [\n",
-                 cores, kFloor, winners, needed, gate);
+                 "  \"wfs_standard\": ",
+                 cores, kTrials, kFloor, winners, needed, gate);
+    row_json(wfs_row);
+    std::fprintf(json, ",\n  \"workloads\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      std::fprintf(json,
-                   "    {\"name\": \"%s\", \"serial_seconds\": %.6f, "
-                   "\"parallel4_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                   row.name.c_str(), row.serial_s, row.par4_s, row.speedup(),
-                   i + 1 < rows.size() ? "," : "");
+      std::fprintf(json, "    ");
+      row_json(rows[i]);
+      std::fprintf(json, "%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
@@ -395,16 +462,16 @@ bool print_pipeline_speedup() {
   return true;
 }
 
-/// One-shot metrics-overhead measurement, with BENCH_metrics.json for CI.
+/// Metrics-overhead measurement, with BENCH_metrics.json for CI.
 ///
 /// The self-observability contract: enabling -metrics must cost < 2% wall
 /// time, because the hot path only bumps plain always-on counters — the
-/// registry is touched once, after the run. Best-of-N minima keep the gate
-/// noise-robust on loaded CI hosts.
+/// registry is touched once, after the run. The overhead is the ratio of
+/// the medians of kTrials alternated trials; the quartiles are printed so
+/// a reader can see when the spread is wider than the ceiling.
 bool print_metrics_overhead() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const tquad::Options tquad_options{.slice_interval = 5000};
-  constexpr int kReps = 5;
   constexpr double kCeiling = 0.02;  // 2%
 
   const auto run_session = [&](metrics::Registry* registry) {
@@ -425,36 +492,22 @@ bool print_metrics_overhead() {
     }
   };
 
-  double plain_s = 0.0;
-  double metered_s = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    // Alternate the order each rep: clock-frequency / load drift over the
-    // measurement window then biases both variants equally instead of
-    // always penalising whichever runs second.
-    const auto measure_plain = [&] { return time_once([&] { run_session(nullptr); }); };
-    const auto measure_metered = [&] {
-      return time_once([&] {
-        metrics::Registry registry;
-        run_session(&registry);
+  const auto [plain, metered] = alternated_trials(
+      [&] { return time_once([&] { run_session(nullptr); }); },
+      [&] {
+        return time_once([&] {
+          metrics::Registry registry;
+          run_session(&registry);
+        });
       });
-    };
-    double plain, metered;
-    if (rep % 2 == 0) {
-      plain = measure_plain();
-      metered = measure_metered();
-    } else {
-      metered = measure_metered();
-      plain = measure_plain();
-    }
-    if (rep == 0 || plain < plain_s) plain_s = plain;
-    if (rep == 0 || metered < metered_s) metered_s = metered;
-  }
 
-  const double overhead = metered_s / plain_s - 1.0;
-  std::printf("\n== metrics-enabled overhead (standard configuration) ==\n");
-  std::printf("%-44s %10.3f s\n", "session, metrics off", plain_s);
-  std::printf("%-44s %10.3f s\n", "session, metrics on (incl. rendering)",
-              metered_s);
+  const double overhead = metered.median / plain.median - 1.0;
+  std::printf("\n== metrics-enabled overhead (standard configuration; median "
+              "[q1, q3] of %d alternated trials) ==\n", kTrials);
+  std::printf("%-44s %s s\n", "session, metrics off",
+              format_spread(plain).c_str());
+  std::printf("%-44s %s s\n", "session, metrics on (incl. rendering)",
+              format_spread(metered).c_str());
   std::printf("%-44s %9.2f%%  (ceiling %.0f%%)\n", "overhead", overhead * 100.0,
               kCeiling * 100.0);
 
@@ -465,12 +518,18 @@ bool print_metrics_overhead() {
     std::fprintf(json,
                  "  \"workload\": \"wfs standard\",\n"
                  "  \"tools\": \"tquad+quad+gprof\",\n"
-                 "  \"plain_seconds\": %.6f,\n"
-                 "  \"metrics_seconds\": %.6f,\n"
+                 "  \"trials\": %d,\n"
+                 "  \"plain_median_seconds\": %.6f,\n"
+                 "  \"plain_q1\": %.6f,\n"
+                 "  \"plain_q3\": %.6f,\n"
+                 "  \"metrics_median_seconds\": %.6f,\n"
+                 "  \"metrics_q1\": %.6f,\n"
+                 "  \"metrics_q3\": %.6f,\n"
                  "  \"overhead_fraction\": %.4f,\n"
                  "  \"overhead_ceiling\": %.2f\n"
                  "}\n",
-                 plain_s, metered_s, overhead, kCeiling);
+                 kTrials, plain.median, plain.q1, plain.q3, metered.median,
+                 metered.q1, metered.q3, overhead, kCeiling);
     std::fclose(json);
     std::printf("wrote BENCH_metrics.json\n");
   }
@@ -591,6 +650,12 @@ bool print_jit_speedup() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // --pipeline-gate: run only the parallel-pipeline gate (tier 1 does).
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--pipeline-gate") {
+      return print_pipeline_speedup() ? 0 : 1;
+    }
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 gate: the standard build + full test suite, then the trace/codec
 # surface again under ASan+UBSan (the decoders chew untrusted bytes, so they
-# get the sanitizer treatment on every run), then the codec bench, which
-# asserts the v2-vs-v1 compression floor.
+# get the sanitizer treatment on every run), the threaded code under TSan,
+# then the codec, workload-signature and parallel-pipeline gates.
 # Usage: scripts/tier1.sh   (from the repository root)
 set -e
 
@@ -40,12 +40,14 @@ cmake --build --preset asan-ubsan -j "$(nproc)" --target \
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
     -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_quad_shadow|test_quad_tool|test_quad_buffers|test_support_address_set|test_access_batch|golden_reports)$'
 
-# 2b. Forced-adaptive stress under ASan: replay the whole pipeline parity
-#     suite with the batch controller pinned to its most allocation-churny
-#     schedule (grow doubles every lane's buffers; the freelist and the
-#     recycled-buffer clears get the sanitizer treatment).
-TQ_PIPELINE_FORCE_ADAPTIVE=grow \
-    ./build-asan/tests/test_session_pipeline > /dev/null
+# 2b. The shared access blocks under ASan, repeated: one-access blocks in
+#     depth-1 rings (every block sealed, shared and recycled across lanes),
+#     many small blocks over four workers, and the abort path, where a
+#     source throws before input_finish with blocks still referenced by
+#     staged and queued entries — the pool must free every one of them.
+./build-asan/tests/test_session_pipeline --gtest_repeat=5 \
+    --gtest_filter='*PipelineBlockZoo*:PipelineBlocks.*:PipelineShutdown.*' \
+    > /dev/null
 
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
 #    analysis pipeline (rings, doorbells, shard merge, drain barrier,
@@ -54,7 +56,7 @@ TQ_PIPELINE_FORCE_ADAPTIVE=grow \
 #    fault-injection harness whose trap path exercises the pipeline's
 #    abort/drain sequence. The engine differential suite rides along for
 #    its compiled-engine-feeding-the-parallel-pipeline cases, and the
-#    access-batch suite for the lanes' batch regrouping on worker threads.
+#    access-batch suite for the lanes' span delivery on worker threads.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
     test_support_thread_pool test_support_metrics test_session \
@@ -65,12 +67,12 @@ cmake --build --preset tsan -j "$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
     -R '^(test_support_thread_pool|test_support_metrics|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential|test_access_batch)$'
 
-# 3b. Forced-adaptive stress under TSan: the cycle schedule walks every lane
-#     through grow and shrink transitions while workers drain concurrently —
-#     the controller's resize decisions must stay data-race-free against the
-#     worker-side recycle path.
-TQ_PIPELINE_FORCE_ADAPTIVE=cycle \
-    ./build-tsan/tests/test_session_pipeline > /dev/null
+# 3b. The same block-transport tests under TSan, repeated: a block's
+#     reference count is released by several workers while the VM thread
+#     still writes later spans into it and seals it.
+./build-tsan/tests/test_session_pipeline --gtest_repeat=5 \
+    --gtest_filter='*PipelineBlockZoo*:PipelineBlocks.*:PipelineShutdown.*' \
+    > /dev/null
 
 # 4. Farm smoke under ASan: the supervisor's fork/exec/waitpid plumbing and
 #    the sidecar/manifest codecs run sanitized end to end — a two-worker
@@ -107,5 +109,11 @@ grep -q "fleet bandwidth" "$FARM_WORK/fleet.out"
 #    measured memory signature against its declared shape and writes
 #    BENCH_zoo.json; fails on any gate violation.
 ./build/bench/bench_workload_signatures
+
+# 7. Parallel-pipeline gate: trio sessions, serial vs -pipeline parallel:4,
+#    median of 9 alternated trials per zoo workload; fails unless >= 6 of 8
+#    reach 1.2x. Also reports the standard wfs trio ratio (not gated).
+#    Writes BENCH_pipeline.json.
+./build/bench/bench_overhead --pipeline-gate
 
 echo "tier1: OK"

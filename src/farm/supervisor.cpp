@@ -1,6 +1,7 @@
 #include "farm/supervisor.hpp"
 
 #include <fcntl.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <csignal>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -152,10 +154,17 @@ void Supervisor::spawn(JobState& job) {
   }
 
   const std::string capture = stderr_path(job.spec.id, attempt);
+  const pid_t supervisor = ::getpid();
   const pid_t pid = ::fork();
   TQUAD_CHECK(pid >= 0, std::string("fork failed: ") + std::strerror(errno));
   if (pid == 0) {
     // Child. Only async-signal-safe calls until execv.
+    // A worker must not outlive its supervisor (a killed supervisor would
+    // otherwise leave hung workers reparented to init): ask for SIGKILL when
+    // the parent dies, then re-check the parent, in case it died before the
+    // request took effect.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != supervisor) ::_exit(127);
     if (options_.rss_mb > 0) {
       struct rlimit limit;
       limit.rlim_cur = options_.rss_mb << 20;

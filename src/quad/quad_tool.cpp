@@ -98,6 +98,9 @@ void QuadTool::on_access_batch(std::span<const session::AccessEvent> batch) {
 
 // ---- sharded access accounting (parallel pipeline) ------------------------------
 
+// A shard's pages must be whole shadow pages, or two shards would share one.
+static_assert(session::kShardPageBits == ShadowMemory::kPageBits);
+
 void QuadTool::prepare_shards(unsigned shards) {
   TQUAD_CHECK(shards >= 1, "prepare_shards needs at least one shard");
   TQUAD_CHECK(shards_.empty(), "prepare_shards called twice");
@@ -123,6 +126,31 @@ void QuadTool::apply_access_shard(unsigned shard,
   } else {
     account_write(state, event.kernel, event.ea, event.size, event.is_stack,
                   count_access);
+  }
+}
+
+void QuadTool::apply_access_batch_shard(
+    unsigned shard, unsigned shards,
+    std::span<const session::AccessEvent> batch) {
+  // One kernel per batch (the AnalysisConsumer contract).
+  if (batch.empty() || batch.front().kernel == tquad::kNoKernel) return;
+  TQUAD_DCHECK(shard < shards_.size() + 1, "shard id out of range");
+  const std::uint32_t kernel = batch.front().kernel;
+  AddressState& state = shard == 0 ? state_ : *shards_[shard - 1];
+  session::ShardClip clip(shard, shards);
+  for (const session::AccessEvent& event : batch) {
+    if (event.is_prefetch) continue;  // QUAD never traces prefetch touches
+    const bool is_read = event.is_read;
+    const bool is_stack = event.is_stack;
+    clip.for_each_piece(
+        event.ea, event.size,
+        [&](std::uint64_t ea, std::uint32_t size, bool count_access) {
+          if (is_read) {
+            account_read(state, kernel, ea, size, is_stack, count_access);
+          } else {
+            account_write(state, kernel, ea, size, is_stack, count_access);
+          }
+        });
   }
 }
 

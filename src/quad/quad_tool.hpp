@@ -169,6 +169,9 @@ class QuadTool final : public session::AnalysisConsumer,
   void prepare_shards(unsigned shards) override;
   void apply_access_shard(unsigned shard, const session::AccessEvent& event,
                           bool count_access) override;
+  void apply_access_batch_shard(
+      unsigned shard, unsigned shards,
+      std::span<const session::AccessEvent> batch) override;
   void merge_shards() override;
 
   /// Shards the last prepare_shards() created (1 when never sharded);

@@ -158,20 +158,6 @@ class KernelAttribution {
     run_mem_ = 0;
   }
 
-  void input_tick(std::uint32_t func, std::uint64_t retired,
-                  std::uint32_t read_size, std::uint32_t write_size) {
-    flush_run();
-    TickEvent event;
-    event.func = func;
-    event.kernel = top_;
-    event.retired = retired;
-    event.read_size = read_size;
-    event.write_size = write_size;
-    event.tracked = tracked_[func] != 0;
-    ++counts_.ticks;
-    for (AnalysisConsumer* consumer : tick_consumers_) consumer->on_tick(event);
-  }
-
   /// One access (the interpreter trampolines and trace replay).
   void input_access(std::uint32_t func, std::uint32_t pc, std::uint64_t retired,
                     std::uint64_t ea, std::uint32_t size, bool is_read,

@@ -70,9 +70,9 @@ inline constexpr std::size_t kAccessBatchCapacity = 256;
 /// A run of `count` consecutive ticks sharing one attribution state: one
 /// function, one kernel, retired counters `first_retired` .. `first_retired
 /// + count - 1`. The attribution layer accumulates ticks into runs and
-/// flushes at the next attribution boundary (routine entry, return, an
-/// exact input_tick, or session end), so a run is delivered *after* any
-/// access events its instructions produced. `mem_count` says how many of
+/// flushes at the next attribution boundary (routine entry, return, or
+/// session end), so a run is delivered *after* any access events its
+/// instructions produced. `mem_count` says how many of
 /// the ticks carried memory operands (architecturally — predicated-off
 /// instructions included), without recording which ones.
 struct TickRunEvent {
@@ -97,10 +97,11 @@ struct RetEvent {
 /// A profiling tool: pure accounting over attributed events.
 /// Within one instruction, accesses come read before write, then the
 /// return; routine entries land after their call instruction's events.
-/// Ticks arrive either exactly (on_tick, in stream position) or batched
-/// (on_tick_run, at the next attribution boundary — possibly after the
-/// access events of the instructions it covers). Accounting that needs a
-/// per-tick stream position must come from on_access/on_kernel_* events.
+/// Ticks arrive batched (on_tick_run, at the next attribution boundary —
+/// possibly after the access events of the instructions it covers); on_tick
+/// is only what the default on_tick_run expands a run into. Accounting that
+/// needs a per-tick stream position must come from on_access/on_kernel_*
+/// events.
 /// Accesses arrive through on_access_batch; see its contract.
 class AnalysisConsumer {
  public:
@@ -167,24 +168,79 @@ class AnalysisConsumer {
 
   /// Optional capability hook: a consumer whose per-address accounting can
   /// be partitioned by address range (QUAD's shadow memory) returns its
-  /// ShardedAccessConsumer facet so the parallel pipeline can fan access
-  /// events out to several worker threads. Default: not shardable.
+  /// ShardedAccessConsumer facet so the parallel pipeline can spread its
+  /// access accounting over several worker threads. Default: not shardable.
   virtual class ShardedAccessConsumer* sharded_access() { return nullptr; }
 };
 
-/// Address-sharded access accounting. The parallel pipeline routes each
-/// AccessEvent to a shard by address; one shard is drained by exactly one
-/// worker thread, in stream order, so shard state needs no locking.
+/// Page granularity of address sharding: 4 KiB, the shadow memory's page.
+inline constexpr unsigned kShardPageBits = 12;
+
+/// The clipping rule of address sharding. Page p belongs to shard
+/// p % shards; an access is cut at page boundaries, and one shard sees only
+/// the pieces on its own pages. The piece on the access's first page
+/// carries `count_access`, so every access is counted exactly once across
+/// the shards. Single-page accesses (the common case) pass whole. The
+/// owner of the last page looked up is cached: consecutive accesses mostly
+/// stay on one page.
+class ShardClip {
+ public:
+  ShardClip(unsigned shard, unsigned shards) : shard_(shard), shards_(shards) {}
+
+  bool owns_page(std::uint64_t page) {
+    if (page != last_page_) {
+      last_page_ = page;
+      last_owned_ = page % shards_ == shard_;
+    }
+    return last_owned_;
+  }
+
+  /// Call `fn(ea, size, count_access)` for each piece of [ea, ea + size)
+  /// that lies on this shard's pages, in address order.
+  template <class Fn>
+  void for_each_piece(std::uint64_t ea, std::uint32_t size, Fn&& fn) {
+    const std::uint64_t first_page = ea >> kShardPageBits;
+    const std::uint64_t last_page =
+        (ea + (size > 0 ? size - 1 : 0)) >> kShardPageBits;
+    if (first_page == last_page) {
+      if (owns_page(first_page)) fn(ea, size, true);
+      return;
+    }
+    std::uint64_t cursor = ea;
+    std::uint64_t remaining = size;
+    for (std::uint64_t page = first_page; remaining > 0; ++page) {
+      const std::uint64_t page_end = (page + 1) << kShardPageBits;
+      const std::uint64_t in_page =
+          remaining < page_end - cursor ? remaining : page_end - cursor;
+      if (owns_page(page)) {
+        fn(cursor, static_cast<std::uint32_t>(in_page), page == first_page);
+      }
+      cursor += in_page;
+      remaining -= in_page;
+    }
+  }
+
+ private:
+  const unsigned shard_;
+  const unsigned shards_;
+  std::uint64_t last_page_ = ~std::uint64_t{0};
+  bool last_owned_ = false;
+};
+
+/// Address-sharded access accounting. The parallel pipeline hands every
+/// shard the same access batches; one shard is drained by exactly one
+/// worker thread, in stream order, and applies only the pieces of each
+/// access that ShardClip assigns to it, so shard state needs no locking.
 ///
-/// Routing contract kept by the pipeline:
-///  - every delivered event lies within a single 4 KiB page, so a shard's
-///    pages are disjoint from every other shard's (accesses crossing a page
-///    boundary are split into per-page pieces);
+/// Contract kept by the pipeline and ShardClip:
+///  - every applied piece lies within a single 4 KiB page, so a shard's
+///    pages are disjoint from every other shard's;
 ///  - the pieces of one original access carry `count_access == true` exactly
-///    once, so per-access (as opposed to per-byte) counters stay exact;
+///    once (on the access's first page), so per-access (as opposed to
+///    per-byte) counters stay exact;
 ///  - `prepare_shards` happens before any apply, `merge_shards` after all
-///    shard rings drained (the on_finish barrier) and before the consumer's
-///    own on_finish.
+///    shards drained (the on_finish barrier) and before the consumer's own
+///    on_finish.
 class ShardedAccessConsumer {
  public:
   virtual ~ShardedAccessConsumer() = default;
@@ -192,9 +248,29 @@ class ShardedAccessConsumer {
   /// Allocate `shards` independent shard states (shard ids 0..shards-1).
   virtual void prepare_shards(unsigned shards) = 0;
 
-  /// Apply one (possibly split) access to shard `shard`.
+  /// Apply one (possibly clipped) access to shard `shard`.
   virtual void apply_access_shard(unsigned shard, const AccessEvent& event,
                                   bool count_access) = 0;
+
+  /// Apply shard `shard`'s part of one whole access batch (the
+  /// on_access_batch contract holds for `batch`). Hot consumers override
+  /// this with the per-batch work hoisted out of the loop. The default
+  /// clips each access with ShardClip and hands the pieces to
+  /// apply_access_shard, in order.
+  virtual void apply_access_batch_shard(unsigned shard, unsigned shards,
+                                        std::span<const AccessEvent> batch) {
+    ShardClip clip(shard, shards);
+    for (const AccessEvent& event : batch) {
+      clip.for_each_piece(
+          event.ea, event.size,
+          [&](std::uint64_t ea, std::uint32_t size, bool count_access) {
+            AccessEvent piece = event;
+            piece.ea = ea;
+            piece.size = size;
+            apply_access_shard(shard, piece, count_access);
+          });
+    }
+  }
 
   /// Fold all shard states back into the main accounting. Runs on the
   /// publisher thread after every shard drained; results must be identical

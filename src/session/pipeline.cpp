@@ -1,22 +1,17 @@
 #include "session/pipeline.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "session/attribution.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
-#include "support/paged_memory.hpp"
 
 namespace tq::session {
 namespace detail {
@@ -30,118 +25,161 @@ struct WorkerMetrics {
 };
 
 // ---------------------------------------------------------------------------
-// Events on the wire: a tagged union of the attributed event structs (all
-// trivially copyable PODs). kEnd carries the total retired count of
-// on_session_end, so the marker rides the ring in stream position and the
-// wrapped tool's end accounting runs on its drain worker like every other
-// event.
+// Shared access blocks. The VM thread fills the open block span by span;
+// `refs` follows the protocol described in pipeline.hpp: it goes negative
+// while workers release entries of a block that is still open, the seal
+// adds the VM thread's entry count, and the one party that brings it to
+// zero recycles the block.
 
-struct PipelineEvent {
-  enum class Kind : std::uint8_t { kEnter, kTick, kTickRun, kAccess, kRet, kEnd };
+struct AccessBlock {
+  explicit AccessBlock(std::size_t capacity) : events(capacity) {}
+
+  std::vector<AccessEvent> events;
+  std::size_t used = 0;           ///< VM thread only, while the block is open
+  std::int64_t entries = 0;       ///< VM thread only: span entries handed out
+  /// Own cache line: workers release while the VM thread still appends.
+  alignas(64) std::atomic<std::int64_t> refs{0};
+};
+
+class BlockPool {
+ public:
+  explicit BlockPool(std::size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
+
+  std::size_t capacity() const noexcept { return capacity_; }
+
+  /// VM thread: an empty block, recycled when one is free.
+  AccessBlock* acquire() {
+    AccessBlock* block = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        block = free_.back();
+        free_.pop_back();
+      }
+    }
+    if (block != nullptr) {
+      ++hits_;
+    } else {
+      ++misses_;
+      owned_.push_back(std::make_unique<AccessBlock>(capacity_));
+      block = owned_.back().get();
+    }
+    block->used = 0;
+    block->entries = 0;
+    return block;
+  }
+
+  /// VM thread: no more entries will point into `block`.
+  void seal(AccessBlock* block) {
+    const std::int64_t entries = block->entries;
+    if (block->refs.fetch_add(entries, std::memory_order_acq_rel) + entries == 0) {
+      recycle(block);
+    }
+  }
+
+  /// Worker: `n` entries pointing into `block` were applied.
+  void release(AccessBlock* block, std::int64_t n) {
+    if (block->refs.fetch_sub(n, std::memory_order_acq_rel) == n) recycle(block);
+  }
+
+  void add_stats(PipelineStats& stats) const {
+    stats.freelist_hits += hits_;
+    stats.freelist_misses += misses_;
+  }
+
+ private:
+  void recycle(AccessBlock* block) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(block);
+  }
+
+  const std::size_t capacity_;
+  std::mutex mutex_;
+  std::vector<AccessBlock*> free_;  ///< guarded by mutex_
+  std::vector<std::unique_ptr<AccessBlock>> owned_;  ///< VM thread; freed last
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Lane entries on the wire: a tagged union of the attributed event structs
+// (all trivially copyable PODs) and span references into access blocks.
+// kEnd carries the total retired count of on_session_end, so the marker
+// rides the ring in stream position and the wrapped tool's end accounting
+// runs on its drain worker like every other event.
+
+struct SpanRef {
+  const AccessEvent* first;  ///< into block->events, so workers read no header
+  AccessBlock* block;
+  std::uint32_t count;
+};
+
+struct LaneEvent {
+  enum class Kind : std::uint8_t { kEnter, kTickRun, kAccessSpan, kRet, kEnd };
 
   Kind kind = Kind::kEnd;
   union Payload {
     EnterEvent enter;
-    TickEvent tick;
     TickRunEvent run;
-    AccessEvent access;
+    SpanRef span;
     RetEvent ret;
     std::uint64_t total_retired;
     Payload() : total_retired(0) {}
   } u;
+
+  std::span<const AccessEvent> accesses() const {
+    return {u.span.first, u.span.count};
+  }
 };
 
-using Batch = std::vector<PipelineEvent>;
+using Batch = std::vector<LaneEvent>;
 
 // ---------------------------------------------------------------------------
-// BatchChannel: the producer->worker transport every lane is built on. It
-// owns the staging batch, the data ring, a reverse freelist ring, and the
-// adaptive batch-size controller:
-//
-//  * The freelist runs opposite to the data ring (worker produces via
-//    recycle(), the VM thread consumes in flush()), so steady state
-//    circulates a fixed set of buffers instead of heap-allocating every
-//    published batch. Buffer lifetimes never cross the drain barrier in a
-//    way the barrier doesn't already order, and a full/closed freelist just
-//    frees the buffer — both sides stay non-blocking.
-//
-//  * `PipelineOptions::batch_events` is only the starting batch size. Each
-//    accepted push reports what it saw (SpscRing::PushFeedback) and the
-//    controller resizes within [batch_events_min, batch_events_max]: a
-//    stalled push or an empty-ring push means the per-push cost dominates,
-//    so batches grow; a queue building up shrinks them back. The forced
-//    schedules drive the size through its whole range so tests can prove
-//    batch boundaries never leak into reports.
-//
-// Only the VM thread touches cap_/counters; cross-thread traffic goes
-// through the two rings, which lock internally. Drops on a closed data ring
-// (abort path) deliberately skip adapt(): a dying run must not steer the
-// controller.
+// Lane: one ring of LaneEvent batches and its worker-side replay. The
+// publisher side is driven by the Hub; the worker side applies each popped
+// batch through apply() and then releases the batch's span entries, one
+// release per run of entries into the same block. Once the ring is closed
+// and empty the lane marks itself drained, with the mutex/cv handshake that
+// gives the publisher its happens-before edge on the wrapped tool's state.
 
-template <typename Rec>
-class BatchChannel {
+class Lane {
  public:
-  using Buffer = std::vector<Rec>;
+  virtual ~Lane() = default;
 
-  explicit BatchChannel(const PipelineOptions& options)
-      : policy_(options.adaptive),
-        cap_(options.batch_events > 0 ? options.batch_events : 1),
+  Lane(const PipelineOptions& options, BlockPool& blocks)
+      : batch_events_(options.batch_events > 0 ? options.batch_events : 1),
         ring_(options.ring_batches > 0 ? options.ring_batches : 1),
-        free_(ring_limit(options) + 2) {
-    min_cap_ = options.batch_events_min > 0
-                   ? options.batch_events_min
-                   : std::max<std::size_t>(1, cap_ / 16);
-    if (min_cap_ > cap_) min_cap_ = cap_;
-    max_cap_ = options.batch_events_max > 0 ? options.batch_events_max : 8 * cap_;
-    if (max_cap_ < cap_) max_cap_ = cap_;
-    ring_.set_capacity_limit(ring_limit(options));
-    batch_.reserve(cap_);
+        blocks_(blocks) {}
+
+  // -- publisher side (VM thread) --
+  LaneEvent& append(LaneEvent::Kind kind) {
+    LaneEvent& slot = stage(1);
+    slot.kind = kind;
+    return slot;
   }
-
-  // -- producer side (VM thread) --
-
-  /// Reserve the next staging slot, publishing a full batch first.
-  Rec& append() {
-    if (batch_.size() >= cap_) flush();
-    batch_.emplace_back();
-    return batch_.back();
+  /// A span stands for its accesses towards the batch size, which bounds
+  /// the accesses (and so the blocks) one batch pins.
+  void append_span(const SpanRef& span) {
+    LaneEvent& slot = stage(span.count);
+    slot.kind = LaneEvent::Kind::kAccessSpan;
+    slot.u.span = span;
   }
-
-  /// Publish the staging batch (no-op when empty). Reuses a recycled buffer
-  /// when the worker has returned one; adapts the batch size from what the
-  /// push observed.
+  /// Publish the staging batch (no-op when empty); blocks while the ring
+  /// is full.
   void flush() {
-    if (batch_.empty()) return;
-    Buffer staging;
-    if (free_.try_pop(staging)) {
-      ++freelist_hits_;
-    } else {
-      ++freelist_misses_;
-    }
-    staging.swap(batch_);
-    batch_.reserve(cap_);
-    typename SpscRing<Buffer>::PushFeedback feedback;
-    if (ring_.push(std::move(staging), &feedback)) adapt(feedback);
+    if (staging_.empty()) return;
+    Batch batch;
+    batch.swap(staging_);
+    weight_ = 0;
+    ring_.push(std::move(batch));
   }
-
-  void close() { ring_.close(); }
-  void set_bell(Doorbell* bell) { ring_.set_doorbell(bell); }
-
-  // -- worker side --
-
-  bool try_pop(Buffer& out) { return ring_.try_pop(out); }
-  bool done() const { return ring_.done(); }
-  std::size_t ring_capacity() const { return ring_.capacity(); }
-
-  /// Hand a drained buffer back to the producer. Clears on the worker (the
-  /// records are trivially destructible, so this is just a size reset) and
-  /// never blocks: a full freelist frees the buffer right here.
-  void recycle(Buffer&& buffer) {
-    buffer.clear();
-    free_.try_push(std::move(buffer));
+  void flush_and_close() {
+    flush();
+    ring_.close();
   }
-
-  // -- post-run introspection --
+  /// Abort path (run threw before input_finish): close the ring so the
+  /// worker can exit; nobody reads the tools afterwards.
+  void abort_close() { ring_.close(); }
 
   void add_stats(PipelineStats& stats) const {
     const auto rs = ring_.stats();
@@ -152,93 +190,11 @@ class BatchChannel {
     if (rs.occupancy_high_water > stats.ring_occupancy_high_water) {
       stats.ring_occupancy_high_water = rs.occupancy_high_water;
     }
-    stats.ring_capacity_grows += rs.capacity_grows;
-    stats.batch_grows += grows_;
-    stats.batch_shrinks += shrinks_;
-    stats.freelist_hits += freelist_hits_;
-    stats.freelist_misses += freelist_misses_;
-    ++stats.rings;  // data ring only; the freelist is plumbing, not payload
+    ++stats.rings;
   }
 
- private:
-  static std::size_t ring_limit(const PipelineOptions& options) {
-    const std::size_t base = options.ring_batches > 0 ? options.ring_batches : 1;
-    return options.ring_batches_max > 0 ? options.ring_batches_max : 4 * base;
-  }
-
-  void adapt(const typename SpscRing<Buffer>::PushFeedback& feedback) {
-    switch (policy_) {
-      case AdaptiveBatch::kOff:
-        break;
-      case AdaptiveBatch::kOccupancy:
-        // Stalled: the push rate outruns the ring; bigger batches cut the
-        // push (lock + wake) frequency. Empty ring: the worker drains
-        // between pushes, so bigger batches cost nothing and amortize
-        // better. A standing queue: the worker is the bottleneck — back off
-        // so occupancy (and peak memory) stays bounded while it catches up.
-        if (feedback.stalled || feedback.was_empty) {
-          grow();
-        } else if (feedback.depth_after >= 2) {
-          shrink();
-        }
-        break;
-      case AdaptiveBatch::kForceGrow:
-        grow();
-        break;
-      case AdaptiveBatch::kForceShrink:
-        shrink();
-        break;
-      case AdaptiveBatch::kForceCycle:
-        if (rising_) {
-          grow();
-          if (cap_ == max_cap_) rising_ = false;
-        } else {
-          shrink();
-          if (cap_ == min_cap_) rising_ = true;
-        }
-        break;
-    }
-  }
-
-  void grow() {
-    if (cap_ >= max_cap_) return;
-    cap_ = std::min(cap_ * 2, max_cap_);
-    ++grows_;
-  }
-
-  void shrink() {
-    if (cap_ <= min_cap_) return;
-    cap_ = std::max(cap_ / 2, min_cap_);
-    ++shrinks_;
-  }
-
-  const AdaptiveBatch policy_;
-  std::size_t cap_;
-  std::size_t min_cap_ = 1;
-  std::size_t max_cap_ = 1;
-  bool rising_ = true;
-  Buffer batch_;
-  SpscRing<Buffer> ring_;
-  SpscRing<Buffer> free_;
-  std::uint64_t grows_ = 0;
-  std::uint64_t shrinks_ = 0;
-  std::uint64_t freelist_hits_ = 0;
-  std::uint64_t freelist_misses_ = 0;
-};
-
-/// What a worker thread drains: pump() applies whatever is queued, and once
-/// the ring is closed and empty the drainable marks itself drained (with the
-/// mutex/cv handshake that gives the publisher its happens-before edge on
-/// the wrapped tool's state).
-class Drainable {
- public:
-  virtual ~Drainable() = default;
-
-  /// Worker: apply available batches; true if any work was done.
-  virtual bool pump(const WorkerMetrics& wm) = 0;
-
-  /// Wire this drainable's ring to its worker's doorbell (before any push).
-  virtual void set_bell(Doorbell* bell) = 0;
+  /// Wire the ring to its worker's doorbell (before any push).
+  void set_bell(Doorbell* bell) { ring_.set_doorbell(bell); }
 
   bool drained() const noexcept { return drained_.load(std::memory_order_acquire); }
 
@@ -249,8 +205,30 @@ class Drainable {
     drained_cv_.wait(lock, [&] { return drained_.load(std::memory_order_acquire); });
   }
 
+  // -- worker side --
+
+  /// Apply available batches; true if any work was done.
+  bool pump(const WorkerMetrics& wm) {
+    bool progress = false;
+    Batch batch;
+    // Cap the pops per call so sibling lanes on the same worker get a turn.
+    for (std::size_t i = 0; i < ring_.capacity() && ring_.try_pop(batch); ++i) {
+      if (wm.batches != nullptr) {
+        wm.batches->add(1);
+        wm.batch_events->observe(batch.size());
+      }
+      apply(batch);
+      release_spans(batch);
+      progress = true;
+    }
+    if (!drained() && ring_.done()) mark_drained();
+    return progress;
+  }
+
  protected:
-  /// Worker: the ring is closed and fully applied.
+  virtual void apply(const Batch& batch) = 0;
+
+ private:
   void mark_drained() {
     {
       std::lock_guard<std::mutex> lock(drained_mutex_);
@@ -259,306 +237,217 @@ class Drainable {
     drained_cv_.notify_all();
   }
 
- private:
+  LaneEvent& stage(std::size_t weight) {
+    if (weight_ >= batch_events_) flush();
+    weight_ += weight;
+    return staging_.emplace_back();
+  }
+
+  void release_spans(const Batch& batch) {
+    AccessBlock* block = nullptr;
+    std::int64_t pending = 0;
+    for (const LaneEvent& event : batch) {
+      if (event.kind != LaneEvent::Kind::kAccessSpan) continue;
+      if (event.u.span.block != block) {
+        if (pending != 0) blocks_.release(block, pending);
+        block = event.u.span.block;
+        pending = 0;
+      }
+      ++pending;
+    }
+    if (pending != 0) blocks_.release(block, pending);
+  }
+
+  const std::size_t batch_events_;
+  Batch staging_;            ///< VM thread
+  std::size_t weight_ = 0;   ///< events staging_ stands for
+  SpscRing<Batch> ring_;
+  BlockPool& blocks_;
   std::atomic<bool> drained_{false};
   std::mutex drained_mutex_;
   std::condition_variable drained_cv_;
 };
 
-/// Publisher-facing wrapper registered with the attribution in place of the
-/// real consumer. Also hands the pipeline its drainables and stats.
-class LaneBase : public AnalysisConsumer {
+/// The general consumer lane: replays every entry into the tool; access
+/// spans go straight to on_access_batch (a span keeps its contract: one
+/// func, one kernel, at most kAccessBatchCapacity accesses).
+class ConsumerLane final : public Lane {
  public:
-  virtual void collect_drainables(std::vector<Drainable*>& out) = 0;
+  ConsumerLane(AnalysisConsumer& target, unsigned interests,
+               const PipelineOptions& options, BlockPool& blocks)
+      : Lane(options, blocks), target_(target), interests_(interests) {}
 
-  /// Abort path (run threw before input_finish): close the rings so the
-  /// workers can exit; nobody reads the tools afterwards.
-  virtual void abort_close() = 0;
+  AnalysisConsumer& target() const noexcept { return target_; }
+  unsigned interests() const noexcept { return interests_; }
 
-  virtual void add_stats(PipelineStats& stats) const = 0;
+ private:
+  void apply(const Batch& batch) override {
+    for (const LaneEvent& event : batch) {
+      switch (event.kind) {
+        case LaneEvent::Kind::kEnter:
+          target_.on_kernel_enter(event.u.enter);
+          break;
+        case LaneEvent::Kind::kTickRun:
+          target_.on_tick_run(event.u.run);
+          break;
+        case LaneEvent::Kind::kAccessSpan:
+          target_.on_access_batch(event.accesses());
+          break;
+        case LaneEvent::Kind::kRet:
+          target_.on_kernel_ret(event.u.ret);
+          break;
+        case LaneEvent::Kind::kEnd:
+          target_.on_session_end(event.u.total_retired);
+          break;
+      }
+    }
+  }
+
+  AnalysisConsumer& target_;
+  const unsigned interests_;
+};
+
+/// One address shard of a sharded consumer: it reads every access span and
+/// applies its own pages' part (ShardClip).
+class ShardLane final : public Lane {
+ public:
+  ShardLane(ShardedAccessConsumer& sharded, unsigned shard, unsigned shards,
+            const PipelineOptions& options, BlockPool& blocks)
+      : Lane(options, blocks), sharded_(sharded), shard_(shard), shards_(shards) {}
+
+ private:
+  void apply(const Batch& batch) override {
+    for (const LaneEvent& event : batch) {
+      sharded_.apply_access_batch_shard(shard_, shards_, event.accesses());
+    }
+  }
+
+  ShardedAccessConsumer& sharded_;
+  const unsigned shard_;
+  const unsigned shards_;
 };
 
 // ---------------------------------------------------------------------------
-// EventLane: the general consumer lane. Forwards every subscribed event kind
-// through one channel; on_finish flushes, closes, waits for the drain, then
-// lets the target see the outcome on the publisher thread. Access batches
-// ride the channel as single kAccess events; the worker regroups each run
-// of them into batches that keep the on_access_batch contract.
+// Hub: the one consumer the attribution sees. It forwards each event to the
+// lanes subscribed to its kind, writes each access span once into the open
+// block, and runs the drain barrier at on_finish.
 
-class EventLane final : public LaneBase, public Drainable {
+class Hub final : public AnalysisConsumer {
  public:
-  EventLane(AnalysisConsumer& target, unsigned interests,
-            const PipelineOptions& options)
-      : target_(target), interests_(interests), channel_(options) {}
+  explicit Hub(BlockPool& blocks) : blocks_(blocks) {}
+
+  /// A consumer lane, in attach order.
+  void add_consumer(ConsumerLane& lane) {
+    consumers_.push_back(&lane);
+    const unsigned interests = lane.interests();
+    interests_ |= interests;
+    if (interests & kEnterInterest) enter_lanes_.push_back(&lane);
+    if (interests & kTickInterest) tick_lanes_.push_back(&lane);
+    if (interests & kAccessInterest) access_lanes_.push_back(&lane);
+    if (interests & kRetInterest) ret_lanes_.push_back(&lane);
+  }
+
+  /// The shard lanes of one sharded consumer; they read every access span.
+  void add_shards(ShardedAccessConsumer& sharded, std::vector<ShardLane*> shards) {
+    interests_ |= kAccessInterest;
+    for (ShardLane* shard : shards) access_lanes_.push_back(shard);
+    sharded_.push_back({&sharded, std::move(shards)});
+  }
+
+  std::uint64_t shard_fold_ns() const noexcept { return fold_ns_; }
 
   // -- publisher side (VM thread) --
   unsigned event_interests() const override { return interests_; }
 
   void on_kernel_enter(const EnterEvent& event) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kEnter);
-    slot.u.enter = event;
+    for (Lane* lane : enter_lanes_) {
+      lane->append(LaneEvent::Kind::kEnter).u.enter = event;
+    }
   }
-  void on_tick(const TickEvent& event) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kTick);
-    slot.u.tick = event;
-  }
+  // The attribution delivers ticks only as runs (there is no on_tick).
   void on_tick_run(const TickRunEvent& run) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kTickRun);
-    slot.u.run = run;
-  }
-  void on_access(const AccessEvent& event) override {
-    on_access_batch({&event, 1});
+    for (Lane* lane : tick_lanes_) {
+      lane->append(LaneEvent::Kind::kTickRun).u.run = run;
+    }
   }
   void on_access_batch(std::span<const AccessEvent> batch) override {
-    for (const AccessEvent& event : batch) {
-      PipelineEvent& slot = append(PipelineEvent::Kind::kAccess);
-      slot.u.access = event;
+    std::size_t done = 0;
+    while (done < batch.size()) {
+      if (open_ == nullptr || open_->used == blocks_.capacity()) next_block();
+      const std::size_t take =
+          std::min(batch.size() - done, blocks_.capacity() - open_->used);
+      std::copy_n(batch.data() + done, take, open_->events.data() + open_->used);
+      const SpanRef span{open_->events.data() + open_->used, open_,
+                         static_cast<std::uint32_t>(take)};
+      open_->used += take;
+      open_->entries += static_cast<std::int64_t>(access_lanes_.size());
+      for (Lane* lane : access_lanes_) lane->append_span(span);
+      done += take;
     }
   }
   void on_kernel_ret(const RetEvent& event) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kRet);
-    slot.u.ret = event;
+    for (Lane* lane : ret_lanes_) {
+      lane->append(LaneEvent::Kind::kRet).u.ret = event;
+    }
   }
   void on_session_end(std::uint64_t total_retired) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kEnd);
-    slot.u.total_retired = total_retired;
+    for (Lane* lane : consumers_) {
+      lane->append(LaneEvent::Kind::kEnd).u.total_retired = total_retired;
+    }
   }
 
   void on_finish(const vm::RunOutcome& outcome) override {
-    channel_.flush();
-    channel_.close();
-    wait_drained();
-    // The drain barrier passed: the worker applied the whole stream, so the
-    // target finalizes with complete (possibly prefix-exact partial) state.
-    target_.on_finish(outcome);
-  }
-
-  // -- pipeline wiring --
-  void collect_drainables(std::vector<Drainable*>& out) override {
-    out.push_back(this);
-  }
-  void set_bell(Doorbell* bell) override { channel_.set_bell(bell); }
-  void abort_close() override { channel_.close(); }
-  void add_stats(PipelineStats& stats) const override {
-    channel_.add_stats(stats);
-  }
-
-  // -- worker side --
-  bool pump(const WorkerMetrics& wm) override {
-    bool progress = false;
-    Batch batch;
-    // Cap the pops per call so sibling lanes on the same worker get a turn.
-    const std::size_t burst = channel_.ring_capacity();
-    for (std::size_t i = 0; i < burst && channel_.try_pop(batch); ++i) {
-      if (wm.batches != nullptr) {
-        wm.batches->add(1);
-        wm.batch_events->observe(batch.size());
-      }
-      apply(batch);
-      channel_.recycle(std::move(batch));
-      progress = true;
+    seal_open();
+    for (ConsumerLane* lane : consumers_) lane->flush_and_close();
+    for (auto& group : sharded_) {
+      for (ShardLane* shard : group.shards) shard->flush_and_close();
     }
-    if (!drained() && channel_.done()) mark_drained();
-    return progress;
+    // Fold every sharded consumer's replicas before any consumer's
+    // on_finish: a tool finalizes with its complete accounting.
+    for (auto& group : sharded_) {
+      for (ShardLane* shard : group.shards) shard->wait_drained();
+      const auto fold_start = std::chrono::steady_clock::now();
+      group.consumer->merge_shards();
+      fold_ns_ += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - fold_start)
+              .count());
+    }
+    // The drain barrier passed: the workers applied the whole stream, so
+    // each tool finalizes with complete (possibly prefix-exact partial)
+    // state.
+    for (ConsumerLane* lane : consumers_) {
+      lane->wait_drained();
+      lane->target().on_finish(outcome);
+    }
   }
 
  private:
-  PipelineEvent& append(PipelineEvent::Kind kind) {
-    PipelineEvent& slot = channel_.append();
-    slot.kind = kind;
-    return slot;
+  struct ShardGroup {
+    ShardedAccessConsumer* consumer;
+    std::vector<ShardLane*> shards;
+  };
+
+  void next_block() {
+    seal_open();
+    open_ = blocks_.acquire();
   }
 
-  void apply(const Batch& batch) {
-    // A run of kAccess events is handed over as access batches: split where
-    // the func or kernel changes and at the capacity, so each one keeps the
-    // on_access_batch contract whatever the channel's batch boundaries.
-    std::size_t pending = 0;
-    auto flush_accesses = [&] {
-      if (pending == 0) return;
-      target_.on_access_batch({accesses_.data(), pending});
-      pending = 0;
-    };
-    for (const PipelineEvent& event : batch) {
-      if (event.kind == PipelineEvent::Kind::kAccess) {
-        const AccessEvent& access = event.u.access;
-        if (pending != 0 && (pending == accesses_.size() ||
-                             accesses_[0].func != access.func ||
-                             accesses_[0].kernel != access.kernel)) {
-          flush_accesses();
-        }
-        accesses_[pending++] = access;
-        continue;
-      }
-      flush_accesses();
-      switch (event.kind) {
-        case PipelineEvent::Kind::kEnter:
-          target_.on_kernel_enter(event.u.enter);
-          break;
-        case PipelineEvent::Kind::kTick:
-          target_.on_tick(event.u.tick);
-          break;
-        case PipelineEvent::Kind::kTickRun:
-          target_.on_tick_run(event.u.run);
-          break;
-        case PipelineEvent::Kind::kAccess:
-          break;  // batched above
-        case PipelineEvent::Kind::kRet:
-          target_.on_kernel_ret(event.u.ret);
-          break;
-        case PipelineEvent::Kind::kEnd:
-          target_.on_session_end(event.u.total_retired);
-          break;
-      }
-    }
-    flush_accesses();
+  void seal_open() {
+    if (open_ == nullptr) return;
+    blocks_.seal(open_);
+    open_ = nullptr;
   }
 
-  AnalysisConsumer& target_;
-  const unsigned interests_;
-  BatchChannel<PipelineEvent> channel_;
-  std::array<AccessEvent, kAccessBatchCapacity> accesses_;  ///< worker only
-};
-
-// ---------------------------------------------------------------------------
-// Sharded access routing: one channel per address shard, each drained by its
-// own worker. The router lane carries only kAccessInterest; the consumer's
-// remaining interests ride a separate EventLane (the control lane), so
-// QUAD's tick counters and its shadow updates progress concurrently.
-
-struct ShardRecord {
-  AccessEvent event;
-  bool count_access = true;
-};
-
-using ShardBatch = std::vector<ShardRecord>;
-
-class AccessShard final : public Drainable {
- public:
-  AccessShard(ShardedAccessConsumer& sharded, unsigned shard,
-              BatchChannel<ShardRecord>& channel)
-      : sharded_(sharded), shard_(shard), channel_(channel) {}
-
-  void set_bell(Doorbell* bell) override { channel_.set_bell(bell); }
-
-  bool pump(const WorkerMetrics& wm) override {
-    bool progress = false;
-    ShardBatch batch;
-    const std::size_t burst = channel_.ring_capacity();
-    for (std::size_t i = 0; i < burst && channel_.try_pop(batch); ++i) {
-      if (wm.batches != nullptr) {
-        wm.batches->add(1);
-        wm.batch_events->observe(batch.size());
-      }
-      for (const ShardRecord& record : batch) {
-        sharded_.apply_access_shard(shard_, record.event, record.count_access);
-      }
-      channel_.recycle(std::move(batch));
-      progress = true;
-    }
-    if (!drained() && channel_.done()) mark_drained();
-    return progress;
-  }
-
- private:
-  ShardedAccessConsumer& sharded_;
-  const unsigned shard_;
-  BatchChannel<ShardRecord>& channel_;
-};
-
-class ShardedAccessLane final : public LaneBase {
- public:
-  static constexpr std::uint64_t kPageBits = PagedMemory::kPageBits;
-
-  ShardedAccessLane(ShardedAccessConsumer& sharded, unsigned shards,
-                    const PipelineOptions& options)
-      : sharded_(sharded) {
-    TQUAD_CHECK(shards >= 1, "sharded lane needs at least one shard");
-    sharded_.prepare_shards(shards);
-    channels_.reserve(shards);
-    shards_.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-      channels_.push_back(std::make_unique<BatchChannel<ShardRecord>>(options));
-      shards_.push_back(
-          std::make_unique<AccessShard>(sharded_, s, *channels_[s]));
-    }
-  }
-
-  // -- publisher side --
-  unsigned event_interests() const override { return kAccessInterest; }
-
-  void on_access(const AccessEvent& event) override { route(event); }
-  void on_access_batch(std::span<const AccessEvent> batch) override {
-    for (const AccessEvent& event : batch) route(event);
-  }
-
-  void on_finish(const vm::RunOutcome&) override {
-    // The router is registered before the control lane, so this runs first:
-    // drain every shard and fold the replicas back together before the
-    // control lane forwards on_finish to the tool itself.
-    for (auto& channel : channels_) channel->flush();
-    for (auto& channel : channels_) channel->close();
-    for (auto& shard : shards_) shard->wait_drained();
-    const auto fold_start = std::chrono::steady_clock::now();
-    sharded_.merge_shards();
-    fold_ns_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - fold_start)
-            .count());
-  }
-
-  // -- pipeline wiring --
-  void collect_drainables(std::vector<Drainable*>& out) override {
-    for (auto& shard : shards_) out.push_back(shard.get());
-  }
-  void abort_close() override {
-    for (auto& channel : channels_) channel->close();
-  }
-  void add_stats(PipelineStats& stats) const override {
-    for (const auto& channel : channels_) channel->add_stats(stats);
-    stats.shard_fold_ns += fold_ns_;
-  }
-
- private:
-  void route(const AccessEvent& event) {
-    const std::uint64_t last =
-        event.ea + (event.size > 0 ? event.size - 1 : 0);
-    if ((event.ea >> kPageBits) == (last >> kPageBits)) {
-      append(shard_of(event.ea), event, true);
-      return;
-    }
-    // Page-crossing access: split into per-page pieces so every shard only
-    // ever touches its own pages. The per-access counter travels with the
-    // first piece only.
-    AccessEvent piece = event;
-    std::uint64_t cursor = event.ea;
-    std::uint64_t remaining = event.size;
-    bool first = true;
-    while (remaining > 0) {
-      const std::uint64_t page_end = ((cursor >> kPageBits) + 1) << kPageBits;
-      const std::uint64_t in_page = std::min(remaining, page_end - cursor);
-      piece.ea = cursor;
-      piece.size = static_cast<std::uint32_t>(in_page);
-      append(shard_of(cursor), piece, first);
-      first = false;
-      cursor += in_page;
-      remaining -= in_page;
-    }
-  }
-
-  unsigned shard_of(std::uint64_t ea) const noexcept {
-    return static_cast<unsigned>((ea >> kPageBits) % shards_.size());
-  }
-
-  void append(unsigned shard, const AccessEvent& event, bool count_access) {
-    ShardRecord& slot = channels_[shard]->append();
-    slot.event = event;
-    slot.count_access = count_access;
-  }
-
-  ShardedAccessConsumer& sharded_;
-  std::vector<std::unique_ptr<BatchChannel<ShardRecord>>> channels_;
-  std::vector<std::unique_ptr<AccessShard>> shards_;
+  BlockPool& blocks_;
+  AccessBlock* open_ = nullptr;  ///< the block spans are written into
+  unsigned interests_ = 0;
+  std::vector<ConsumerLane*> consumers_;  ///< attach order (end, finish)
+  std::vector<Lane*> enter_lanes_;
+  std::vector<Lane*> tick_lanes_;
+  std::vector<Lane*> access_lanes_;
+  std::vector<Lane*> ret_lanes_;
+  std::vector<ShardGroup> sharded_;
   std::uint64_t fold_ns_ = 0;  ///< written at the drain barrier, read after
 };
 
@@ -575,32 +464,6 @@ unsigned effective_workers(const PipelineOptions& options) {
   return hw > 0 ? hw : 1;
 }
 
-/// TQ_PIPELINE_FORCE_ADAPTIVE overrides the batch controller policy for a
-/// whole process — the tier-1 stress hook that replays every pipeline test
-/// under the forced schedules. Unknown values are noted and ignored rather
-/// than fatal: a typo in a CI matrix must not mask the actual test result.
-void apply_forced_adaptive(PipelineOptions& options) {
-  const char* forced = std::getenv("TQ_PIPELINE_FORCE_ADAPTIVE");
-  if (forced == nullptr || *forced == '\0') return;
-  const std::string_view value(forced);
-  if (value == "off") {
-    options.adaptive = AdaptiveBatch::kOff;
-  } else if (value == "occupancy") {
-    options.adaptive = AdaptiveBatch::kOccupancy;
-  } else if (value == "grow") {
-    options.adaptive = AdaptiveBatch::kForceGrow;
-  } else if (value == "shrink") {
-    options.adaptive = AdaptiveBatch::kForceShrink;
-  } else if (value == "cycle") {
-    options.adaptive = AdaptiveBatch::kForceCycle;
-  } else {
-    std::fprintf(stderr,
-                 "note: ignoring unknown TQ_PIPELINE_FORCE_ADAPTIVE value "
-                 "'%s' (want off|occupancy|grow|shrink|cycle)\n",
-                 forced);
-  }
-}
-
 }  // namespace
 
 ParallelPipeline::ParallelPipeline(const PipelineOptions& options,
@@ -608,69 +471,81 @@ ParallelPipeline::ParallelPipeline(const PipelineOptions& options,
     : options_(options), metrics_(metrics), workers_(effective_workers(options)) {
   TQUAD_CHECK(options.mode == PipelineMode::kParallel,
               "ParallelPipeline constructed in serial mode");
-  apply_forced_adaptive(options_);
-  // Auto shard count: match the workers (the access stream is the heaviest
-  // lane), but keep at least one shard and avoid silly fan-out.
-  access_shards_ = options.access_shards != 0 ? options.access_shards : workers_;
-  if (access_shards_ == 0) access_shards_ = 1;
-  if (access_shards_ > 16) access_shards_ = 16;
+  blocks_ = std::make_unique<detail::BlockPool>(options_.block_accesses);
+  hub_ = std::make_unique<detail::Hub>(*blocks_);
 }
 
 ParallelPipeline::~ParallelPipeline() {
   // Abort path: if the run threw before input_finish, the rings never
   // closed and the workers would wait forever. Close everything (idempotent
-  // after a clean drain), then join via the pool's destructor.
+  // after a clean drain), then join via the pool's destructor, before the
+  // lanes and blocks the workers read are destroyed.
   for (auto& lane : lanes_) lane->abort_close();
   pool_.reset();
 }
 
-void ParallelPipeline::attach(AnalysisConsumer& target,
-                              KernelAttribution& attribution) {
+void ParallelPipeline::attach(AnalysisConsumer& target) {
   TQUAD_CHECK(!started_, "attach after start");
-  const unsigned interests = target.event_interests();
-  ShardedAccessConsumer* sharded = target.sharded_access();
-  if (sharded != nullptr && access_shards_ > 1 &&
-      (interests & AnalysisConsumer::kAccessInterest)) {
-    // Router first, control lane second: at input_finish the router then
-    // merges the shard replicas *before* the control lane delivers
-    // on_finish to the tool (consumers finish in registration order).
-    auto router = std::make_unique<detail::ShardedAccessLane>(
-        *sharded, access_shards_, options_);
-    attribution.add_consumer(*router);
-    lanes_.push_back(std::move(router));
-    auto control = std::make_unique<detail::EventLane>(
-        target, interests & ~AnalysisConsumer::kAccessInterest, options_);
-    attribution.add_consumer(*control);
-    lanes_.push_back(std::move(control));
-  } else {
-    auto lane = std::make_unique<detail::EventLane>(target, interests, options_);
-    attribution.add_consumer(*lane);
-    lanes_.push_back(std::move(lane));
-  }
+  targets_.push_back(&target);
 }
 
-void ParallelPipeline::start() {
+unsigned ParallelPipeline::shard_count() const {
+  // Auto: every consumer lane keeps a worker of its own and the shards get
+  // the workers left over. A shard reads the whole access stream, so one
+  // that has to share its worker with another lane costs more than it
+  // splits off; with no worker left over, QUAD is not sharded at all.
+  unsigned shards = options_.access_shards;
+  if (shards == 0) {
+    const auto lanes = static_cast<unsigned>(targets_.size());
+    shards = workers_ > lanes ? workers_ - lanes : 1;
+  }
+  return std::min(shards, 16u);
+}
+
+void ParallelPipeline::start(KernelAttribution& attribution) {
   TQUAD_CHECK(!started_, "pipeline already started");
   started_ = true;
-  for (auto& lane : lanes_) lane->collect_drainables(drainables_);
-  if (drainables_.empty()) return;
-  if (workers_ > drainables_.size()) {
-    workers_ = static_cast<unsigned>(drainables_.size());
+  if (targets_.empty()) return;
+  access_shards_ = shard_count();
+  for (AnalysisConsumer* target : targets_) {
+    unsigned interests = target->event_interests();
+    ShardedAccessConsumer* sharded = target->sharded_access();
+    if (sharded != nullptr && access_shards_ > 1 &&
+        (interests & AnalysisConsumer::kAccessInterest)) {
+      // The shards take the accesses; the consumer's own lane keeps the
+      // rest (enter and tick-run counters) and finishes the tool.
+      sharded->prepare_shards(access_shards_);
+      std::vector<detail::ShardLane*> shards;
+      for (unsigned s = 0; s < access_shards_; ++s) {
+        auto shard = std::make_unique<detail::ShardLane>(
+            *sharded, s, access_shards_, options_, *blocks_);
+        shards.push_back(shard.get());
+        lanes_.push_back(std::move(shard));
+      }
+      hub_->add_shards(*sharded, std::move(shards));
+      interests &= ~AnalysisConsumer::kAccessInterest;
+    }
+    auto lane = std::make_unique<detail::ConsumerLane>(*target, interests,
+                                                       options_, *blocks_);
+    hub_->add_consumer(*lane);
+    lanes_.push_back(std::move(lane));
   }
-  // Round-robin the drainables over the workers and hand every ring its
+  attribution.add_consumer(*hub_);
+  if (workers_ > lanes_.size()) workers_ = static_cast<unsigned>(lanes_.size());
+  // Round-robin the lanes over the workers and hand every ring its
   // worker's doorbell before the first push can happen.
-  std::vector<std::vector<detail::Drainable*>> assignment(workers_);
+  std::vector<std::vector<detail::Lane*>> assignment(workers_);
   bells_.clear();
   for (unsigned w = 0; w < workers_; ++w) {
     bells_.push_back(std::make_unique<Doorbell>());
   }
-  for (std::size_t d = 0; d < drainables_.size(); ++d) {
-    assignment[d % workers_].push_back(drainables_[d]);
-    drainables_[d]->set_bell(bells_[d % workers_].get());
+  for (std::size_t d = 0; d < lanes_.size(); ++d) {
+    assignment[d % workers_].push_back(lanes_[d].get());
+    lanes_[d]->set_bell(bells_[d % workers_].get());
   }
   pool_ = std::make_unique<ThreadPool>(workers_);
   for (unsigned w = 0; w < workers_; ++w) {
-    std::vector<detail::Drainable*> mine = assignment[w];
+    std::vector<detail::Lane*> mine = assignment[w];
     Doorbell* bell = bells_[w].get();
     metrics::Registry* registry = metrics_;
     pool_->submit([mine = std::move(mine), bell, registry] {
@@ -688,10 +563,10 @@ void ParallelPipeline::start() {
         const std::uint64_t seen = bell->epoch();
         bool progress = false;
         bool all_drained = true;
-        for (detail::Drainable* drainable : mine) {
-          if (drainable->drained()) continue;
-          progress = drainable->pump(wm) || progress;
-          all_drained = drainable->drained() && all_drained;
+        for (detail::Lane* lane : mine) {
+          if (lane->drained()) continue;
+          progress = lane->pump(wm) || progress;
+          all_drained = lane->drained() && all_drained;
         }
         if (all_drained) return;
         if (!progress) bell->wait_past(seen);
@@ -703,6 +578,8 @@ void ParallelPipeline::start() {
 PipelineStats ParallelPipeline::stats() const {
   PipelineStats stats;
   for (const auto& lane : lanes_) lane->add_stats(stats);
+  blocks_->add_stats(stats);
+  stats.shard_fold_ns = hub_->shard_fold_ns();
   stats.workers = workers_;
   stats.access_shards = access_shards_;
   return stats;

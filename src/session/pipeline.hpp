@@ -1,28 +1,48 @@
 // Parallel live-analysis pipeline.
 //
 // In serial mode ProfileSession drives every AnalysisConsumer inline on the
-// VM thread; here the VM thread only *publishes*: each consumer is wrapped
-// in a lane that batches its attributed events and pushes the batches into a
-// fixed-capacity SPSC ring, drained by a worker thread that replays them
-// into the real tool. Per-consumer event order is exactly the serial order,
-// and each tool's state is touched by exactly one thread, so reports come
-// out byte-identical to the serial single pass. Access batches travel as
-// single events and are regrouped on the worker into batches that keep the
-// on_access_batch contract (one func, one kernel, at most the capacity).
+// VM thread; here the VM thread only *publishes*. One hub consumer stands
+// in for all of them at the attribution. Each consumer gets a lane: a
+// fixed-capacity SPSC ring of event batches, drained by a worker thread
+// that replays them into the real tool. Per-consumer event order is exactly
+// the serial order, and each tool's state is touched by exactly one thread,
+// so reports come out byte-identical to the serial single pass.
 //
-// The heaviest consumer, QUAD, additionally shards its per-address state:
-// access events are routed to N shard rings by 4 KiB page number (events
-// that cross a page are split, with the per-access counter carried by the
-// first piece only), each shard drains on its own worker, and the shard
-// states merge exactly at the drain barrier. See ShardedAccessConsumer in
-// events.hpp for the routing contract.
+// Accesses are not copied per lane. Each access span the attribution
+// delivers is written once into a shared access block (consecutive spans
+// are packed into one block, a span that does not fit is split across two).
+// Every lane that reads accesses gets one small entry pointing at the span,
+// in stream order with its enter/tick-run/ret/end entries, and the worker
+// hands the span straight to the tool's on_access_batch. Block lifetime: a
+// block is reference-counted by the span entries that point into it. The
+// VM thread counts its entries locally and adds them once, when it seals
+// the block (full, or at the drain barrier); each worker subtracts the
+// entries it applied. Whoever brings the count to zero recycles the block
+// into the pool's free list, so a steady run circulates a fixed set of
+// blocks. The pool owns every block it ever allocated until the pipeline
+// is destroyed, so a run that aborts with entries still unapplied leaks
+// nothing.
 //
-// on_finish is the barrier: every lane flushes its tail batch, closes its
-// ring, waits until the worker has applied everything, and only then lets
-// the wrapped tool see the RunOutcome. EventSources call input_finish on
-// every path — clean halt, guest trap, budget truncation — so a trap
-// mid-run still drains completely and yields the exact-prefix PARTIAL
-// reports the fault-tolerance contract promises.
+// Backpressure: a lane batch is published once it covers `batch_events`
+// events, a span counting as its number of accesses, and a full ring blocks
+// the VM thread. So every lane holds at most `ring_batches` published
+// batches plus one staging batch of about `batch_events` accesses, and the
+// blocks in flight are bounded by what the slowest lane holds.
+//
+// With workers to spare, the heaviest consumer, QUAD, additionally shards
+// its per-address state: its access spans go to N shard lanes instead of
+// one, each shard drains on its own worker and applies only the pieces of
+// each access on its own 4 KiB pages (ShardClip in events.hpp: a
+// page-crossing access is clipped per page and the piece on its first page
+// carries the per-access count), and the shard states merge exactly at the
+// drain barrier.
+//
+// on_finish is the barrier: the hub seals the open block, flushes and
+// closes every ring, waits for the QUAD shards and folds them, then waits
+// for each consumer's lane and only then lets the tool see the RunOutcome.
+// EventSources call input_finish on every path — clean halt, guest trap,
+// budget truncation — so a trap mid-run still drains completely and yields
+// the exact-prefix PARTIAL reports the fault-tolerance contract promises.
 #pragma once
 
 #include <cstddef>
@@ -48,30 +68,16 @@ enum class PipelineMode : std::uint8_t {
   kParallel = 1,  ///< consumers drain SPSC event rings on worker threads
 };
 
-/// Batch-size controller policy for the lanes. kOccupancy is the production
-/// policy; the forced schedules exist so tests can drive the batch size
-/// through its whole range deterministically and prove reports stay
-/// byte-identical regardless of how batches were cut.
-enum class AdaptiveBatch : std::uint8_t {
-  kOff = 0,        ///< fixed batch_events, the pre-adaptive behavior
-  kOccupancy = 1,  ///< grow/shrink from observed ring occupancy (default)
-  kForceGrow = 2,  ///< test schedule: grow to batch_events_max and stay
-  kForceShrink = 3,  ///< test schedule: shrink to batch_events_min and stay
-  kForceCycle = 4,   ///< test schedule: alternate grow-to-max / shrink-to-min
-};
-
 struct PipelineOptions {
   PipelineMode mode = PipelineMode::kSerial;
   unsigned workers = 0;           ///< drain threads; 0 = hardware_concurrency
-  std::size_t batch_events = 4096;  ///< starting batch size, in events
-  std::size_t ring_batches = 8;     ///< starting ring capacity, in batches
-  unsigned access_shards = 0;     ///< shards for sharded consumers; 0 = auto
-  AdaptiveBatch adaptive = AdaptiveBatch::kOccupancy;
-  std::size_t batch_events_min = 0;  ///< adaptive floor; 0 = batch_events/16
-  std::size_t batch_events_max = 0;  ///< adaptive ceiling; 0 = 8*batch_events
-  /// Ring capacity auto-tune ceiling, in batches; 0 = 4*ring_batches. Set
-  /// equal to ring_batches to pin the capacity (backpressure tests do).
-  std::size_t ring_batches_max = 0;
+  /// Lane batch size, in events; an access span counts as its accesses.
+  std::size_t batch_events = 4096;
+  std::size_t ring_batches = 8;     ///< ring capacity, in batches
+  /// Shards for a sharded consumer (QUAD); 0 = auto: the workers left
+  /// over once every consumer has one (no sharding if none are).
+  unsigned access_shards = 0;
+  std::size_t block_accesses = 4096;  ///< accesses per shared access block
 };
 
 /// Post-run introspection (bench, tests, and the metrics registry): how
@@ -84,25 +90,25 @@ struct PipelineStats {
   std::uint64_t dropped_after_close = 0;  ///< pushes refused by abort close
   std::uint64_t ring_occupancy_high_water = 0;  ///< max batches queued, any ring
   std::uint64_t shard_fold_ns = 0;  ///< merge_shards() time at the drain barrier
-  std::uint64_t batch_grows = 0;    ///< adaptive batch-size growth steps
-  std::uint64_t batch_shrinks = 0;  ///< adaptive batch-size shrink steps
-  std::uint64_t freelist_hits = 0;    ///< published batches that reused a buffer
-  std::uint64_t freelist_misses = 0;  ///< published batches freshly allocated
-  std::uint64_t ring_capacity_grows = 0;  ///< ring auto-tune growth steps
+  std::uint64_t freelist_hits = 0;    ///< access blocks reused from the pool
+  /// Access blocks freshly allocated: the most blocks ever in flight.
+  std::uint64_t freelist_misses = 0;
   unsigned rings = 0;
   unsigned workers = 0;
   unsigned access_shards = 0;
 };
 
 namespace detail {
-class LaneBase;
-class Drainable;
+class Hub;
+class Lane;
+class BlockPool;
 }  // namespace detail
 
-/// Owns the lanes, the rings, and the drain workers for one profiled run.
-/// Lifecycle: construct, attach() every consumer, start(), run the event
-/// source (the attribution's input_finish doubles as the drain barrier),
-/// then destroy (joins the workers). The pipeline must outlive the run.
+/// Owns the hub, the lanes, the rings, the block pool and the drain workers
+/// for one profiled run. Lifecycle: construct, attach() every consumer,
+/// start(), run the event source (the attribution's input_finish doubles as
+/// the drain barrier), then destroy (joins the workers). The pipeline must
+/// outlive the run.
 class ParallelPipeline {
  public:
   /// `metrics` is optional: when set, each drain worker folds its batch
@@ -115,27 +121,32 @@ class ParallelPipeline {
   ParallelPipeline(const ParallelPipeline&) = delete;
   ParallelPipeline& operator=(const ParallelPipeline&) = delete;
 
-  /// Wrap `target` in its lane(s) and register them with `attribution` in
-  /// place of the target. Call once per consumer, before start().
-  void attach(AnalysisConsumer& target, KernelAttribution& attribution);
+  /// Add a consumer. Call once per consumer, before start(); consumers
+  /// finish in attach order.
+  void attach(AnalysisConsumer& target);
 
-  /// Launch the drain workers. Call after the last attach, before the run.
-  void start();
-
-  unsigned workers() const noexcept { return workers_; }
-  unsigned access_shards() const noexcept { return access_shards_; }
+  /// Build the lanes, register the hub with `attribution` in place of the
+  /// attached consumers and launch the drain workers. Call once, before
+  /// the run.
+  void start(KernelAttribution& attribution);
 
   /// Valid once the run's input_finish returned (all rings drained).
   PipelineStats stats() const;
 
  private:
+  unsigned shard_count() const;
+
   PipelineOptions options_;
   metrics::Registry* metrics_ = nullptr;
+  std::vector<AnalysisConsumer*> targets_;
   unsigned workers_ = 1;
   unsigned access_shards_ = 1;
   bool started_ = false;
-  std::vector<std::unique_ptr<detail::LaneBase>> lanes_;
-  std::vector<detail::Drainable*> drainables_;
+  // Destroyed bottom-up: the workers are joined (pool_) before the lanes
+  // and blocks they read go away.
+  std::unique_ptr<detail::BlockPool> blocks_;
+  std::vector<std::unique_ptr<detail::Lane>> lanes_;
+  std::unique_ptr<detail::Hub> hub_;
   std::vector<std::unique_ptr<Doorbell>> bells_;
   std::unique_ptr<ThreadPool> pool_;
 };

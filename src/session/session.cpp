@@ -81,7 +81,7 @@ ProfileSession::ProfileSession(const vm::Program& program, SessionConfig config)
 void ProfileSession::add_consumer(AnalysisConsumer& consumer) {
   TQUAD_CHECK(!ran_, "add_consumer must precede ProfileSession::run");
   // Registration with the attribution is deferred to run(): in parallel
-  // mode the pipeline registers a lane wrapper in the consumer's place.
+  // mode the pipeline registers its hub in the consumers' place.
   consumers_.push_back(&consumer);
 }
 
@@ -98,10 +98,8 @@ vm::RunOutcome ProfileSession::run(EventSource& source) {
   }
   if (config_.pipeline.mode == PipelineMode::kParallel && !consumers_.empty()) {
     ParallelPipeline pipeline(config_.pipeline, config_.metrics);
-    for (AnalysisConsumer* consumer : consumers_) {
-      pipeline.attach(*consumer, attribution_);
-    }
-    pipeline.start();
+    for (AnalysisConsumer* consumer : consumers_) pipeline.attach(*consumer);
+    pipeline.start(attribution_);
     // input_finish (invoked by the source on every path, including traps)
     // runs each lane's drain barrier, so by the time run() returns every
     // tool holds its complete, serially-ordered accounting.
@@ -140,11 +138,8 @@ void ProfileSession::publish_metrics() {
   registry.add("pipeline.producer_stall_ns", stats.producer_stall_ns);
   registry.add("pipeline.dropped_after_close", stats.dropped_after_close);
   registry.add("pipeline.shard_fold_ns", stats.shard_fold_ns);
-  registry.add("pipeline.batch.grows", stats.batch_grows);
-  registry.add("pipeline.batch.shrinks", stats.batch_shrinks);
   registry.add("pipeline.freelist.hits", stats.freelist_hits);
   registry.add("pipeline.freelist.misses", stats.freelist_misses);
-  registry.add("pipeline.ring.capacity_grows", stats.ring_capacity_grows);
   registry.max_gauge("pipeline.ring.occupancy_high_water",
                      stats.ring_occupancy_high_water);
   registry.set_gauge("pipeline.rings", stats.rings);

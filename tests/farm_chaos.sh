@@ -110,6 +110,25 @@ while [ "$i" -lt 200 ]; do
 done
 kill -9 "$pid" 2> /dev/null || true  # may already have finished; that's fine
 wait "$pid" 2> /dev/null || true
+# Its workers die with it (parent-death signal), hung ones included: no
+# worker of this farm (running in this directory on resume_state/ jobs)
+# may survive the supervisor. The signal is delivered asynchronously, so
+# allow it a moment.
+here=$(pwd -P)
+survivors() {
+  for p in $(pgrep -f "tquad_farm -worker" 2> /dev/null); do
+    [ "$(readlink "/proc/$p/cwd" 2> /dev/null)" = "$here" ] || continue
+    tr '\0' ' ' < "/proc/$p/cmdline" 2> /dev/null | grep -q resume_state/ &&
+      echo "$p"
+  done
+  return 0
+}
+i=0
+while [ -n "$(survivors)" ]; do
+  i=$((i + 1))
+  [ "$i" -lt 100 ] || fail "farm workers outlived their killed supervisor: $(survivors)"
+  sleep 0.05
+done
 grep -q '"event":"done"' resume_state/manifest.jsonl || \
   fail "supervisor died before any job checkpointed"
 "$TOOLS/tquad_farm" -traces multi.tqtr -state resume_state -slice 2000 \

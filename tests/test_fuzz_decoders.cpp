@@ -3,9 +3,16 @@
 // Deterministic seeds keep the suite reproducible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <span>
+#include <string>
 
+#include <unistd.h>
+
+#include "farm/manifest.hpp"
+#include "farm/sidecar.hpp"
 #include "gasm/asm_parser.hpp"
 #include "gasm/builder.hpp"
 #include "isa/isa.hpp"
@@ -349,6 +356,167 @@ TEST(DecoderFuzzMutation, TruncatedWavAtEveryLength) {
       EXPECT_LE(wfs::kWavHeaderSize + data.samples.size() * 2, cut);
     } catch (const Error&) {
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Farm codecs: TQFS sidecars and the JSONL manifest journal cross a process
+// boundary and survive crashes, so a worker or supervisor may read back any
+// torn or corrupted file. Every mutated input decodes or throws tq::Error.
+
+/// A sidecar exercising every section: a block range, series, QUAD counts
+/// and metrics.
+std::string valid_sidecar() {
+  farm::JobReport report;
+  report.job_id = 3;
+  report.trace_path = "state/run a.tqtr";
+  report.whole = false;
+  report.block_lo = 2;
+  report.block_hi = 5;
+  report.retired = 90'000;
+  report.slice_interval = 2'000;
+  report.kernel_names = {"main", "fill", "k2"};
+  report.kernels.resize(3);
+  for (std::size_t k = 0; k < report.kernels.size(); ++k) {
+    tquad::SliceCounters c;
+    c.read_incl = 100 * (k + 1);
+    c.read_excl = 90 * (k + 1);
+    c.write_incl = 50 * k;
+    c.write_excl = 40 * k;
+    report.kernels[k].totals = c;
+    report.kernels[k].series = {{k, c}, {k + 4, c}};
+  }
+  report.quad_excl = {{1, 2, 3, 4}, {5, 6, 7, 8}, {0, 0, 0, 0}};
+  report.quad_incl = {{9, 10, 11, 12}, {13, 14, 15, 16}, {0, 0, 0, 0}};
+  report.metrics = {{"worker.records", 42}, {"worker.retired", 90'000}};
+  return farm::encode_sidecar(report);
+}
+
+/// A decoded sidecar must be internally consistent and re-encode to a
+/// sidecar that decodes to the same thing.
+void expect_sane_sidecar(const farm::JobReport& report) {
+  EXPECT_EQ(report.kernel_names.size(), report.kernels.size());
+  if (report.has_quad()) {
+    EXPECT_EQ(report.quad_excl.size(), report.kernels.size());
+    EXPECT_EQ(report.quad_incl.size(), report.kernels.size());
+  }
+  const std::string again = farm::encode_sidecar(report);
+  EXPECT_EQ(farm::encode_sidecar(farm::decode_sidecar(again)), again);
+}
+
+TEST(DecoderFuzzMutation, FlippedSidecars) {
+  const std::string valid = valid_sidecar();
+  expect_sane_sidecar(farm::decode_sidecar(valid));
+  SplitMix64 rng(17);
+  int survivors = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::string mutated = valid;
+    const std::size_t flips = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < flips; ++i) {
+      mutated[rng.next_below(mutated.size())] ^=
+          static_cast<char>(1u << rng.next_below(8));
+    }
+    try {
+      expect_sane_sidecar(farm::decode_sidecar(mutated));
+      ++survivors;
+    } catch (const Error&) {
+    }
+  }
+  // Digit flips inside numbers decode to other numbers: some must survive,
+  // or the fuzzer only ever exercised the first rejection.
+  EXPECT_GT(survivors, 0);
+}
+
+TEST(DecoderFuzzMutation, TruncatedSidecarsAtEveryLength) {
+  // The `end` terminator is the last line, so every strict prefix that
+  // loses it must be rejected.
+  const std::string valid = valid_sidecar();
+  const std::size_t terminator = valid.rfind("end");
+  ASSERT_NE(terminator, std::string::npos);
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    const std::string prefix = valid.substr(0, cut);
+    if (cut <= terminator) {
+      EXPECT_THROW((void)farm::decode_sidecar(prefix), Error) << cut;
+    } else {
+      try {
+        expect_sane_sidecar(farm::decode_sidecar(prefix));
+      } catch (const Error&) {
+      }
+    }
+  }
+}
+
+/// A journal with every record kind, read back through a scratch file
+/// (Manifest::load reads from a path).
+class ManifestFuzz : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "tq_fuzz_manifest_" +
+            std::to_string(::getpid()) + ".jsonl";
+    std::remove(path_.c_str());
+    farm::Manifest manifest;
+    manifest.open(path_);
+    manifest.record_farm(3, 5'000);
+    manifest.record_job(0, "a.tqtr", true, 0, 0);
+    manifest.record_job(1, "dir with \"quotes\"/b.tqtr", false, 2, 6);
+    manifest.record_job(2, "c\\d.tqtr", true, 0, 0);
+    manifest.record_done(0, 2, "state/job0.tqfs");
+    manifest.record_quarantine(2, 3, "signal 9 (Killed)\n",
+                               "state/job2.attempt3.stderr");
+    std::ifstream in(path_, std::ios::binary);
+    valid_.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Load `bytes` as a journal. The loader skips lines it cannot parse,
+  /// so it only throws for an unreadable file; each line yields at most one
+  /// record.
+  std::size_t load_records(const std::string& bytes) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    try {
+      const farm::ManifestState state = farm::Manifest::load(path_);
+      return (state.job_count != 0 ? 1 : 0) + state.jobs.size() +
+             state.done.size() + state.quarantined.size();
+    } catch (const Error&) {
+      return 0;
+    }
+  }
+
+  std::string path_;
+  std::string valid_;
+};
+
+TEST_F(ManifestFuzz, FlippedJournals) {
+  ASSERT_FALSE(valid_.empty());
+  const farm::ManifestState state = farm::Manifest::load(path_);
+  EXPECT_EQ(state.jobs.size(), 3u);
+  SplitMix64 rng(23);
+  for (int round = 0; round < 1000; ++round) {
+    std::string mutated = valid_;
+    const std::size_t flips = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < flips; ++i) {
+      mutated[rng.next_below(mutated.size())] ^=
+          static_cast<char>(1u << rng.next_below(8));
+    }
+    EXPECT_LE(load_records(mutated), 6u);
+  }
+}
+
+TEST_F(ManifestFuzz, TruncatedJournalsAtEveryLength) {
+  ASSERT_FALSE(valid_.empty());
+  // Every complete line survives a cut; the torn last line is dropped or,
+  // if it still holds its fields, kept.
+  EXPECT_EQ(load_records(valid_), 6u);
+  for (std::size_t cut = 0; cut < valid_.size(); ++cut) {
+    const std::string prefix = valid_.substr(0, cut);
+    const auto complete = static_cast<std::size_t>(
+        std::count(prefix.begin(), prefix.end(), '\n'));
+    const std::size_t records = load_records(prefix);
+    EXPECT_GE(records, complete) << cut;
+    EXPECT_LE(records, complete + 1) << cut;
   }
 }
 

@@ -156,7 +156,7 @@ TEST(Session, AttributionDispatchOrderFollowsAddOrder) {
   class Tagger : public AnalysisConsumer {
    public:
     Tagger(std::vector<int>& order, int tag) : order_(order), tag_(tag) {}
-    void on_tick(const TickEvent&) override { order_.push_back(tag_); }
+    void on_tick_run(const TickRunEvent&) override { order_.push_back(tag_); }
 
    private:
     std::vector<int>& order_;
@@ -167,7 +167,10 @@ TEST(Session, AttributionDispatchOrderFollowsAddOrder) {
   attribution.add_consumer(first);
   attribution.add_consumer(second);
   EXPECT_EQ(attribution.consumer_count(), 2u);
-  attribution.input_tick(0, 0, 0, 0);
+  // The tick run is delivered at input_end, to each consumer in add order.
+  attribution.input_batch_tick(0, 0, false);
+  EXPECT_TRUE(order.empty());
+  attribution.input_end(1);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,41 +59,6 @@ PipelineOptions parallel_options(unsigned workers, std::size_t batch_events = 25
   options.access_shards = access_shards;
   return options;
 }
-
-/// Pin the transport exactly at the configured sizes: no batch resizing
-/// (min == max == start, so every controller policy — including one forced
-/// via TQ_PIPELINE_FORCE_ADAPTIVE — is a clamped no-op) and no ring growth.
-/// The backpressure-torture tests need this: their point is a ring that
-/// stays squeezed.
-PipelineOptions pin_transport(PipelineOptions options) {
-  options.batch_events_min = options.batch_events;
-  options.batch_events_max = options.batch_events;
-  options.ring_batches_max = options.ring_batches;
-  return options;
-}
-
-/// Scoped removal of TQ_PIPELINE_FORCE_ADAPTIVE, for tests that assert the
-/// stats of one specific controller schedule (tier1 replays this whole
-/// binary with the knob set; those runs must not flip a pinned schedule).
-class ForceAdaptiveEnvGuard {
- public:
-  ForceAdaptiveEnvGuard() {
-    const char* value = std::getenv(kName);
-    if (value != nullptr) {
-      saved_ = value;
-      had_value_ = true;
-    }
-    ::unsetenv(kName);
-  }
-  ~ForceAdaptiveEnvGuard() {
-    if (had_value_) ::setenv(kName, saved_.c_str(), 1);
-  }
-
- private:
-  static constexpr const char* kName = "TQ_PIPELINE_FORCE_ADAPTIVE";
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 /// One session plus the masked subset of consumers.
 struct SessionRun {
@@ -251,9 +218,9 @@ TEST_P(PipelineBackpressureZoo, CapacityOneParity) {
   Reference ref(GetParam());
   workloads::Instance guest = make_guest(GetParam());
   SessionConfig config;
-  config.pipeline = pin_transport(parallel_options(
+  config.pipeline = parallel_options(
       /*workers=*/2, /*batch_events=*/1, /*ring_batches=*/1,
-      /*access_shards=*/2));
+      /*access_shards=*/2);
   SessionRun run(guest.program, config, kAllTools);
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.status, ref.outcome.status);
@@ -288,9 +255,9 @@ TEST(PipelineBackpressure, HistogramFaultCapacityOne) {
   const std::vector<std::uint8_t> serial_trace = serial.recorder->take_encoded();
 
   SessionConfig parallel_config = fault_config;
-  parallel_config.pipeline = pin_transport(parallel_options(
+  parallel_config.pipeline = parallel_options(
       /*workers=*/2, /*batch_events=*/1, /*ring_batches=*/1,
-      /*access_shards=*/2));
+      /*access_shards=*/2);
   workloads::Instance parallel_guest = make_guest("histogram");
   SessionRun parallel(parallel_guest.program, parallel_config, kAllTools);
   const vm::RunOutcome outcome = parallel.session.run_live(parallel_guest.host);
@@ -407,6 +374,97 @@ TEST(PipelineShards, QuadShardedFacetSplitAccess) {
   EXPECT_EQ(sharded.binding_bytes(0, 1), 16u);
 }
 
+// The batch entry the pipeline calls: every shard walks the same span and
+// applies only its own pages' pieces. Page-crossing accesses (including one
+// spanning three pages) must merge back to exactly the serial QuadTool, via
+// QuadTool's own override and via the interface's default, which clips with
+// ShardClip and must hand out count_access exactly once per access.
+
+class CountingShards final : public ShardedAccessConsumer {
+ public:
+  explicit CountingShards(quad::QuadTool& inner) : inner_(inner) {}
+  void prepare_shards(unsigned shards) override { inner_.prepare_shards(shards); }
+  void apply_access_shard(unsigned shard, const AccessEvent& event,
+                          bool count_access) override {
+    EXPECT_EQ(event.ea >> kShardPageBits,
+              (event.ea + (event.size > 0 ? event.size - 1 : 0)) >> kShardPageBits)
+        << "a clipped piece crosses a page";
+    if (count_access) ++counted;
+    inner_.apply_access_shard(shard, event, count_access);
+  }
+  void merge_shards() override { inner_.merge_shards(); }
+
+  std::uint64_t counted = 0;
+
+ private:
+  quad::QuadTool& inner_;
+};
+
+TEST(PipelineShards, BatchEntryClipsPageCrossingAccesses) {
+  static const auto artifacts = workloads::build_stream(16, 1);
+  const vm::Program& program = artifacts.program;
+  constexpr std::uint64_t kPage = std::uint64_t{1} << kShardPageBits;
+
+  // Kernel 0 writes, kernel 1 reads the same bytes back: every crossing
+  // shape lands in both the producer and the consumer accounting.
+  std::vector<AccessEvent> writes;
+  const auto add = [&](std::uint64_t ea, std::uint32_t size, bool stack) {
+    AccessEvent event;
+    event.func = 0;
+    event.kernel = 0;
+    event.ea = ea;
+    event.size = size;
+    event.is_stack = stack;
+    writes.push_back(event);
+  };
+  add(3 * kPage - 4, 8, false);          // crosses page 2 -> 3
+  add(5 * kPage - 1, 2, true);           // one byte on each side
+  add(9 * kPage + 100, 2 * kPage, false);  // spans pages 9, 10 and 11
+  add(7 * kPage + 64, 8, false);         // single page
+  add(7 * kPage + 64, 8, false);         // the same bytes again
+  add(12 * kPage, 0, false);             // zero-size: counted, no bytes
+  std::vector<AccessEvent> reads = writes;
+  for (AccessEvent& event : reads) {
+    event.func = 1;
+    event.kernel = 1;
+    event.is_read = true;
+  }
+  AccessEvent prefetch = reads.front();
+  prefetch.is_prefetch = true;
+  reads.push_back(prefetch);
+
+  quad::QuadTool serial(program);
+  serial.on_access_batch(writes);
+  serial.on_access_batch(reads);
+
+  for (unsigned shards : {2u, 3u, 5u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    quad::QuadTool overridden(program);
+    overridden.prepare_shards(shards);
+    quad::QuadTool by_default(program);
+    CountingShards counting(by_default);
+    counting.prepare_shards(shards);
+    for (unsigned shard = 0; shard < shards; ++shard) {
+      overridden.apply_access_batch_shard(shard, shards, writes);
+      counting.ShardedAccessConsumer::apply_access_batch_shard(shard, shards,
+                                                               writes);
+    }
+    for (unsigned shard = 0; shard < shards; ++shard) {
+      overridden.apply_access_batch_shard(shard, shards, reads);
+      counting.ShardedAccessConsumer::apply_access_batch_shard(shard, shards,
+                                                               reads);
+    }
+    overridden.merge_shards();
+    counting.merge_shards();
+    testutil::expect_quad_equal(serial, overridden);
+    EXPECT_EQ(counting.counted, writes.size() + reads.size());
+    // The default forwards prefetch touches too; QuadTool drops them, so the
+    // totals still match.
+    testutil::expect_quad_equal(serial, by_default);
+  }
+  EXPECT_EQ(serial.binding_bytes(0, 1), 8u + 2u + 2 * kPage + 8u + 8u);
+}
+
 // ---------------------------------------------------------------------------
 // Replay through the parallel pipeline: a recorded trace replayed with
 // parallel dispatch equals the live serial run that produced it.
@@ -490,18 +548,11 @@ TEST(PipelineMetrics, RegistryAttachedKeepsParityAndCountsBatches) {
   };
   EXPECT_EQ(counter("pipeline.batches_published"),
             run.session.pipeline_stats().batches_published);
-  // Every flush consults the freelist exactly once (hit or miss) before its
-  // push is accepted, so on a clean run the two sides tie out.
-  EXPECT_EQ(counter("pipeline.freelist.hits") +
-                counter("pipeline.freelist.misses"),
-            counter("pipeline.batches_published"));
-  // The adaptive counters are always published, even when zero.
-  EXPECT_EQ(counter("pipeline.batch.grows"),
-            run.session.pipeline_stats().batch_grows);
-  EXPECT_EQ(counter("pipeline.batch.shrinks"),
-            run.session.pipeline_stats().batch_shrinks);
-  EXPECT_EQ(counter("pipeline.ring.capacity_grows"),
-            run.session.pipeline_stats().ring_capacity_grows);
+  // Every access block came from the pool, fresh or recycled; with 4096
+  // accesses per block a histogram run fills several.
+  EXPECT_EQ(counter("pipeline.freelist.hits"),
+            run.session.pipeline_stats().freelist_hits);
+  EXPECT_GT(counter("pipeline.freelist.misses"), 0u);
   EXPECT_EQ(counter("session.events.access"),
             run.session.attribution().event_counts().accesses);
   EXPECT_GT(counter("session.events.tick"), 0u);
@@ -518,81 +569,104 @@ TEST(PipelineMetrics, RegistryAttachedKeepsParityAndCountsBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptivity invariance: the batch controller may resize lanes however it
-// likes — reports must stay byte-identical to serial. Forced schedules pin
-// each controller branch so the assertions are deterministic; the EnvGuard
-// keeps an outer TQ_PIPELINE_FORCE_ADAPTIVE (tier1 stress legs) from
-// flipping the schedule under us.
+// Block torture: one access per shared block and one single-event batch per
+// ring slot. Every span is split into one-access spans, every block is
+// sealed after one write and recycled by whichever lane reads it last, and
+// the publisher blocks on nearly every push. The reports must not care.
 
-TEST(PipelineAdaptive, ForcedGrowKeepsParityAndGrows) {
-  ForceAdaptiveEnvGuard guard;
-  Reference ref("histogram");
-  workloads::Instance guest = make_guest("histogram");
-  SessionConfig config;
-  config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/8,
-                                     /*ring_batches=*/2, /*access_shards=*/2);
-  config.pipeline.adaptive = AdaptiveBatch::kForceGrow;
-  config.pipeline.batch_events_max = 1024;
-  SessionRun run(guest.program, config, kAllTools);
-  const vm::RunOutcome outcome = run.session.run_live(guest.host);
-  EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
+class PipelineBlockZoo : public ::testing::TestWithParam<std::string> {};
 
-  const PipelineStats stats = run.session.pipeline_stats();
-  EXPECT_GT(stats.batch_grows, 0u);
-  EXPECT_EQ(stats.batch_shrinks, 0u);
-  // Recycled buffers come back through the freelist once the lanes warm up.
-  EXPECT_GT(stats.freelist_hits, 0u);
-}
-
-TEST(PipelineAdaptive, ForcedShrinkKeepsParityAndShrinks) {
-  ForceAdaptiveEnvGuard guard;
-  Reference ref("histogram");
-  workloads::Instance guest = make_guest("histogram");
-  SessionConfig config;
-  config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/256,
-                                     /*ring_batches=*/2, /*access_shards=*/2);
-  config.pipeline.adaptive = AdaptiveBatch::kForceShrink;
-  SessionRun run(guest.program, config, kAllTools);
-  const vm::RunOutcome outcome = run.session.run_live(guest.host);
-  EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
-
-  const PipelineStats stats = run.session.pipeline_stats();
-  EXPECT_GT(stats.batch_shrinks, 0u);
-  EXPECT_EQ(stats.batch_grows, 0u);
-}
-
-class PipelineAdaptiveZoo : public ::testing::TestWithParam<std::string> {};
-
-// The nastiest transport: every lane cycling its batch size through the
-// whole [min, max] range over a capacity-1 ring that is pinned so the
-// auto-tuner cannot relieve the pressure. Pure adaptivity + backpressure.
-TEST_P(PipelineAdaptiveZoo, ForcedCycleCapacityOneParity) {
-  ForceAdaptiveEnvGuard guard;
+TEST_P(PipelineBlockZoo, BlockAndRingCapacityOneParity) {
   Reference ref(GetParam());
   workloads::Instance guest = make_guest(GetParam());
   SessionConfig config;
-  config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/16,
+  config.pipeline = parallel_options(/*workers=*/3, /*batch_events=*/1,
                                      /*ring_batches=*/1, /*access_shards=*/2);
-  config.pipeline.adaptive = AdaptiveBatch::kForceCycle;
-  config.pipeline.batch_events_min = 1;
-  config.pipeline.batch_events_max = 64;
-  config.pipeline.ring_batches_max = 1;  // pin: no capacity relief
+  config.pipeline.block_accesses = 1;
   SessionRun run(guest.program, config, kAllTools);
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.retired, ref.outcome.retired);
   expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
 
+  // A one-access block is sealed before any lane can release it, and a
+  // depth-1 ring bounds how many can be in flight: most blocks are reused.
   const PipelineStats stats = run.session.pipeline_stats();
-  EXPECT_GT(stats.batch_grows, 0u);
-  EXPECT_GT(stats.batch_shrinks, 0u);
-  EXPECT_EQ(stats.ring_capacity_grows, 0u);
+  EXPECT_GT(stats.freelist_hits, 0u);
+  EXPECT_GT(stats.freelist_hits, stats.freelist_misses);
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, PipelineAdaptiveZoo,
+INSTANTIATE_TEST_SUITE_P(Zoo, PipelineBlockZoo,
                          ::testing::ValuesIn(workloads::workload_names()),
                          [](const auto& info) { return info.param; });
+
+// ---------------------------------------------------------------------------
+// Abort path: a source that throws before input_finish leaves span entries
+// staged, queued and half-applied, an open block, and rings never closed
+// by the barrier. The session must rethrow, join its workers and free every
+// block (the ASan leg of tier 1 runs this for leaks).
+
+class ThrowingSource final : public EventSource {
+ public:
+  ThrowingSource(const vm::Program& program, std::uint64_t batches)
+      : program_(program), batches_(batches) {}
+
+  const vm::Program& program() const noexcept override { return program_; }
+
+  vm::RunOutcome run(KernelAttribution& attribution) override {
+    attribution.input_enter(0, 0);
+    std::array<vm::AccessRecord, vm::kAccessBatchCapacity> records{};
+    std::uint64_t retired = 0;
+    for (std::uint64_t b = 0; b < batches_; ++b) {
+      for (std::size_t i = 0; i < records.size(); ++i, ++retired) {
+        records[i] = vm::AccessRecord{retired, 0x10000 + 8 * (retired % 4096),
+                                      0, 8, (i & 1) != 0, false, false};
+      }
+      attribution.input_accesses(0, records);
+      attribution.input_batch_tick_span(0, retired - records.size(),
+                                        records.size(), records.size());
+    }
+    throw std::runtime_error("source failed mid-run");
+  }
+
+ private:
+  const vm::Program& program_;
+  std::uint64_t batches_;
+};
+
+TEST(PipelineShutdown, SourceThrowBeforeFinishFreesEveryBlock) {
+  const workloads::Instance guest = make_guest("stream");
+  for (std::size_t block_accesses : {std::size_t{1}, std::size_t{300},
+                                     std::size_t{4096}}) {
+    SCOPED_TRACE("block_accesses=" + std::to_string(block_accesses));
+    SessionConfig config;
+    config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/64,
+                                       /*ring_batches=*/1, /*access_shards=*/2);
+    config.pipeline.block_accesses = block_accesses;
+    SessionRun run(guest.program, config, kAllTools);
+    ThrowingSource source(guest.program, /*batches=*/40);
+    EXPECT_THROW(run.session.run(source), std::runtime_error);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Block refcount stress for ThreadSanitizer: many small blocks read by
+// several lanes on different workers, released while the VM thread is still
+// writing later spans into the same blocks.
+
+TEST(PipelineBlocks, SmallBlocksManyReadersKeepParity) {
+  Reference ref("hashjoin");
+  for (std::size_t block_accesses : {std::size_t{7}, std::size_t{256}}) {
+    SCOPED_TRACE("block_accesses=" + std::to_string(block_accesses));
+    workloads::Instance guest = make_guest("hashjoin");
+    SessionConfig config;
+    config.pipeline = parallel_options(/*workers=*/4, /*batch_events=*/16,
+                                       /*ring_batches=*/2, /*access_shards=*/4);
+    config.pipeline.block_accesses = block_accesses;
+    SessionRun run(guest.program, config, kAllTools);
+    run.session.run_live(guest.host);
+    expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
+  }
+}
 
 TEST(PipelineReplay, StreamReplayParallel) {
   Reference ref("stream");
