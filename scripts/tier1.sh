@@ -46,7 +46,7 @@ ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
 #     source throws before input_finish with blocks still referenced by
 #     staged and queued entries — the pool must free every one of them.
 ./build-asan/tests/test_session_pipeline --gtest_repeat=5 \
-    --gtest_filter='*PipelineBlockZoo*:PipelineBlocks.*:PipelineShutdown.*' \
+    --gtest_filter='*PipelineBackpressureZoo*:PipelineBlocks.*:PipelineShutdown.*' \
     > /dev/null
 
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
@@ -71,7 +71,7 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
 #     reference count is released by several workers while the VM thread
 #     still writes later spans into it and seals it.
 ./build-tsan/tests/test_session_pipeline --gtest_repeat=5 \
-    --gtest_filter='*PipelineBlockZoo*:PipelineBlocks.*:PipelineShutdown.*' \
+    --gtest_filter='*PipelineBackpressureZoo*:PipelineBlocks.*:PipelineShutdown.*' \
     > /dev/null
 
 # 4. Farm smoke under ASan: the supervisor's fork/exec/waitpid plumbing and
@@ -113,7 +113,9 @@ grep -q "fleet bandwidth" "$FARM_WORK/fleet.out"
 # 7. Parallel-pipeline gate: trio sessions, serial vs -pipeline parallel:4,
 #    median of 9 alternated trials per zoo workload; fails unless >= 6 of 8
 #    reach 1.2x. Also reports the standard wfs trio ratio (not gated).
-#    Writes BENCH_pipeline.json.
+#    Writes BENCH_pipeline.json. Known to fail intermittently on a shared
+#    4-thread host: other tenants' load phases last longer than the whole
+#    gate, so its verdict follows them (ROADMAP, parallel pipeline).
 ./build/bench/bench_overhead --pipeline-gate
 
 echo "tier1: OK"

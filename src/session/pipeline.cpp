@@ -471,7 +471,7 @@ ParallelPipeline::ParallelPipeline(const PipelineOptions& options,
     : options_(options), metrics_(metrics), workers_(effective_workers(options)) {
   TQUAD_CHECK(options.mode == PipelineMode::kParallel,
               "ParallelPipeline constructed in serial mode");
-  blocks_ = std::make_unique<detail::BlockPool>(options_.block_accesses);
+  blocks_ = std::make_unique<detail::BlockPool>(options_.batch_events);
   hub_ = std::make_unique<detail::Hub>(*blocks_);
 }
 
@@ -489,24 +489,12 @@ void ParallelPipeline::attach(AnalysisConsumer& target) {
   targets_.push_back(&target);
 }
 
-unsigned ParallelPipeline::shard_count() const {
-  // Auto: every consumer lane keeps a worker of its own and the shards get
-  // the workers left over. A shard reads the whole access stream, so one
-  // that has to share its worker with another lane costs more than it
-  // splits off; with no worker left over, QUAD is not sharded at all.
-  unsigned shards = options_.access_shards;
-  if (shards == 0) {
-    const auto lanes = static_cast<unsigned>(targets_.size());
-    shards = workers_ > lanes ? workers_ - lanes : 1;
-  }
-  return std::min(shards, 16u);
-}
-
 void ParallelPipeline::start(KernelAttribution& attribution) {
   TQUAD_CHECK(!started_, "pipeline already started");
   started_ = true;
   if (targets_.empty()) return;
-  access_shards_ = shard_count();
+  access_shards_ = std::clamp(
+      options_.access_shards != 0 ? options_.access_shards : workers_, 1u, 16u);
   for (AnalysisConsumer* target : targets_) {
     unsigned interests = target->event_interests();
     ShardedAccessConsumer* sharded = target->sharded_access();

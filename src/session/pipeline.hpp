@@ -29,9 +29,9 @@
 // batches plus one staging batch of about `batch_events` accesses, and the
 // blocks in flight are bounded by what the slowest lane holds.
 //
-// With workers to spare, the heaviest consumer, QUAD, additionally shards
-// its per-address state: its access spans go to N shard lanes instead of
-// one, each shard drains on its own worker and applies only the pieces of
+// The heaviest consumer, QUAD, additionally shards its per-address state:
+// its access spans go to N shard lanes instead of one (N = one per worker
+// by default), each shard drains on a worker and applies only the pieces of
 // each access on its own 4 KiB pages (ShardClip in events.hpp: a
 // page-crossing access is clipped per page and the piece on its first page
 // carries the per-access count), and the shard states merge exactly at the
@@ -71,13 +71,11 @@ enum class PipelineMode : std::uint8_t {
 struct PipelineOptions {
   PipelineMode mode = PipelineMode::kSerial;
   unsigned workers = 0;           ///< drain threads; 0 = hardware_concurrency
-  /// Lane batch size, in events; an access span counts as its accesses.
+  /// Lane batch size, in events (an access span counts as its accesses),
+  /// and the capacity of a shared access block, in accesses.
   std::size_t batch_events = 4096;
   std::size_t ring_batches = 8;     ///< ring capacity, in batches
-  /// Shards for a sharded consumer (QUAD); 0 = auto: the workers left
-  /// over once every consumer has one (no sharding if none are).
-  unsigned access_shards = 0;
-  std::size_t block_accesses = 4096;  ///< accesses per shared access block
+  unsigned access_shards = 0;     ///< shards for sharded consumers; 0 = auto
 };
 
 /// Post-run introspection (bench, tests, and the metrics registry): how
@@ -134,8 +132,6 @@ class ParallelPipeline {
   PipelineStats stats() const;
 
  private:
-  unsigned shard_count() const;
-
   PipelineOptions options_;
   metrics::Registry* metrics_ = nullptr;
   std::vector<AnalysisConsumer*> targets_;
