@@ -1,14 +1,15 @@
-// TQTR codec benchmark: v1 (flat 28-byte records) versus v2 (block-compressed,
-// delta + varint) on the stream workload — the trace shape the paper's tool
-// would produce when profiling a bandwidth-bound kernel.
+// TQTR codec benchmark: v2 (block-compressed, delta + varint) on the stream
+// workload — the trace shape the paper's tool would produce when profiling a
+// bandwidth-bound kernel.
 //
-// Reports bytes/event and the compression ratio (the acceptance bar is
-// v2 >= 4x smaller than v1 on this workload, enforced with TQUAD_CHECK),
-// encode/decode cost per event as the median and interquartile range of
-// order-alternated trials (including the streaming path a v2 TraceRecorder
-// takes through its session hooks), and sequential-v1 versus
-// block-parallel-v2 offline aggregation time with a totals-equality
-// cross-check.
+// Reports bytes/event and the compression ratio against the flat layout of
+// the retired v1 format, whose size is exactly 32 header bytes plus
+// kRecordDiskBytes per record (the acceptance bar is v2 >= 4x smaller on
+// this workload, enforced with TQUAD_CHECK); encode/decode cost per event as
+// the median and interquartile range of order-alternated trials (including
+// the streaming path a TraceRecorder takes through its session hooks); the
+// per-block CRC-32C overhead; and offline aggregation time at 1 thread and
+// at -threads, with a totals-equality cross-check.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -41,18 +42,17 @@ trace::Trace record_stream_trace(const vm::Program& program) {
   trace::TraceRecorder recorder(program);
   session.add_consumer(recorder);
   session.run_live(host);
-  return recorder.take();
+  return trace::Trace::deserialize(recorder.take_encoded());
 }
 
-/// Replays `trace` through a v2 TraceRecorder's session hooks, the
+/// Replays `trace` through a TraceRecorder's session hooks, the
 /// per-event path of a live recording, and returns the finished image.
 std::vector<std::uint8_t> encode_through_recorder(const vm::Program& program,
                                                   const trace::Trace& trace) {
   const auto kernel32 = [](std::uint16_t kernel) {
     return kernel == trace::kNoKernel16 ? tquad::kNoKernel : std::uint32_t{kernel};
   };
-  trace::TraceRecorder recorder(program, tquad::LibraryPolicy::kExclude,
-                                trace::TraceFormat::kV2);
+  trace::TraceRecorder recorder(program);
   for (const trace::Record& record : trace.records) {
     switch (record.kind) {
       case trace::EventKind::kEnter: {
@@ -118,11 +118,11 @@ std::string format_ns(const Spread& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("bench_trace_codec: TQTR v1 vs v2 size and throughput");
+  CliParser cli("bench_trace_codec: TQTR v2 size and throughput");
   cli.add_int("elements", 4096, "stream vector length (f64 elements)");
   cli.add_int("iterations", 4, "stream benchmark repetitions");
   cli.add_int("slice", 5000, "slice interval for the aggregation timing");
-  cli.add_int("threads", 4, "worker threads for v2 block-parallel aggregation");
+  cli.add_int("threads", 4, "worker threads for block-parallel aggregation");
   cli.add_int("block", trace::kDefaultBlockCapacity, "v2 block capacity (records)");
   try {
     cli.parse(argc, argv);
@@ -139,10 +139,11 @@ int main(int argc, char** argv) {
                 format_count(trace.total_retired).c_str());
 
     // -- Size and codec cost ------------------------------------------------
-    const auto v1 = trace.serialize();
+    // The retired v1 layout: a 32-byte header, then kRecordDiskBytes per
+    // record with no compression, so its size needs no writer.
+    const double v1_bytes = static_cast<double>(
+        32 + trace.records.size() * trace::kRecordDiskBytes);
     const auto v2 = trace::serialize_v2(trace, block);
-    TQUAD_CHECK(trace::Trace::deserialize(v1).records.size() == trace.records.size(),
-                "v1 round trip");
     TQUAD_CHECK(trace::Trace::deserialize(v2).records.size() == trace.records.size(),
                 "v2 round trip");
     // The recorder always writes the default block capacity.
@@ -155,8 +156,6 @@ int main(int argc, char** argv) {
     constexpr int kTrials = 11;
     std::size_t sink = 0;
     const std::vector<std::function<void()>> ops = {
-        [&] { sink += trace.serialize().size(); },
-        [&] { sink += trace::Trace::deserialize(v1).records.size(); },
         [&] { sink += trace::serialize_v2(trace, block).size(); },
         [&] { sink += trace::Trace::deserialize(v2).records.size(); },
         [&] { sink += encode_through_recorder(stream.program, trace).size(); },
@@ -174,22 +173,21 @@ int main(int argc, char** argv) {
     std::vector<Spread> cost;
     for (auto& samples : ns_per_event) cost.push_back(spread_of(std::move(samples)));
 
-    const double ratio = static_cast<double>(v1.size()) / static_cast<double>(v2.size());
+    const double ratio = v1_bytes / static_cast<double>(v2.size());
     std::printf("codec cost, ns/event: median [quartiles] over %d alternated trials\n",
                 kTrials);
     TextTable table({"format", "bytes", "bytes/event", "encode ns/ev", "decode ns/ev"});
-    table.add_row({"v1 flat", format_count(v1.size()),
-                   format_fixed(static_cast<double>(v1.size()) / events, 2),
-                   format_ns(cost[0]), format_ns(cost[1])});
     table.add_row({"v2 blocked", format_count(v2.size()),
                    format_fixed(static_cast<double>(v2.size()) / events, 2),
-                   format_ns(cost[2]), format_ns(cost[3])});
+                   format_ns(cost[0]), format_ns(cost[1])});
     table.add_row({"v2 recorder hooks", format_count(recorded.size()),
                    format_fixed(static_cast<double>(recorded.size()) / events, 2),
-                   format_ns(cost[4]), "-"});
+                   format_ns(cost[2]), "-"});
     std::fputs(table.to_ascii().c_str(), stdout);
-    std::printf("\ncompression ratio (v1/v2): %.2fx (block capacity %u)\n\n",
-                ratio, block);
+    std::printf("\ncompression ratio (flat v1 layout %s bytes / v2): %.2fx "
+                "(block capacity %u)\n\n",
+                format_count(static_cast<std::uint64_t>(v1_bytes)).c_str(), ratio,
+                block);
     TQUAD_CHECK(ratio >= 4.0, "v2 must be >= 4x smaller than v1 on stream");
 
     // -- CRC overhead gate -------------------------------------------------
@@ -244,29 +242,32 @@ int main(int argc, char** argv) {
                 "v2.1 decode with verification lost records");
 
     // -- Aggregation ------------------------------------------------------
-    auto start = Clock::now();
-    trace::OfflineBandwidth sequential(trace.kernel_count, slice);
-    sequential.aggregate(trace);
-    const double seq_time = seconds_since(start);
-
-    ThreadPool pool(static_cast<unsigned>(cli.integer("threads")));
+    // The one offline entry, over the whole trace, at 1 thread and at
+    // -threads; the results must agree.
     const trace::TraceV2View view = trace::TraceV2View::open(v2);
-    start = Clock::now();
-    trace::OfflineBandwidth parallel(trace.kernel_count, slice);
-    parallel.aggregate_parallel(view, pool);
-    const double par_time = seconds_since(start);
-
+    const auto aggregate = [&](unsigned threads, double& seconds) {
+      ThreadPool pool(threads);
+      const auto start = Clock::now();
+      trace::OfflineBandwidth offline(trace.kernel_count, slice);
+      offline.aggregate(view, 0, view.block_count(), pool);
+      seconds = seconds_since(start);
+      return offline;
+    };
+    const auto threads = static_cast<unsigned>(cli.integer("threads"));
+    double one_time = 0;
+    double par_time = 0;
+    const trace::OfflineBandwidth one = aggregate(1, one_time);
+    const trace::OfflineBandwidth parallel = aggregate(threads, par_time);
     for (std::uint32_t k = 0; k < trace.kernel_count; ++k) {
-      TQUAD_CHECK(sequential.kernel(k).totals.read_incl ==
-                          parallel.kernel(k).totals.read_incl &&
-                      sequential.kernel(k).totals.write_incl ==
+      TQUAD_CHECK(one.kernel(k).totals.read_incl == parallel.kernel(k).totals.read_incl &&
+                      one.kernel(k).totals.write_incl ==
                           parallel.kernel(k).totals.write_incl,
-                  "parallel v2 aggregation diverged from sequential v1");
+                  "aggregation totals depend on the thread count");
     }
-    std::printf("offline aggregation at slice %llu: v1 sequential %.1f Mev/s, "
-                "v2 block-parallel %.1f Mev/s (totals identical)\n",
-                static_cast<unsigned long long>(slice), events / seq_time / 1e6,
-                events / par_time / 1e6);
+    std::printf("offline aggregation at slice %llu: 1 thread %.1f Mev/s, "
+                "%u threads %.1f Mev/s (totals identical)\n",
+                static_cast<unsigned long long>(slice), events / one_time / 1e6,
+                threads, events / par_time / 1e6);
     return 0;
   } catch (const Error& err) {
     std::fprintf(stderr, "bench_trace_codec: %s\n", err.what());

@@ -1,6 +1,7 @@
 #include "session/event_source.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "support/check.hpp"
 #include "trace/trace.hpp"
@@ -188,6 +189,13 @@ class ReplayFeeder {
 
   void feed(std::span<const trace::Record> records) {
     for (const trace::Record& record : records) {
+      if (record.retired < group_retired_) {
+        // Live runs never go back; replaying one that does would deliver
+        // the accesses out of order and leave unsorted slice series.
+        TQUAD_THROW("TQTR records out of order: retired count goes back from " +
+                    std::to_string(group_retired_) + " to " +
+                    std::to_string(record.retired));
+      }
       if (!group_.empty() && record.retired != group_retired_) flush_group();
       if (group_.empty()) group_retired_ = record.retired;
       if (record.func >= function_count_ ||
@@ -294,54 +302,28 @@ vm::RunOutcome TraceReplaySource::run(KernelAttribution& attribution) {
       static_cast<std::uint32_t>(program_.functions().size());
   ReplayFeeder feeder(attribution, function_count);
   vm::RunOutcome outcome;
-  if (trace::is_v2_image(bytes_)) {
-    const trace::TraceV2View view =
-        salvage_ ? trace::TraceV2View::salvage(bytes_, &salvage_report_)
-                 : trace::TraceV2View::open(bytes_);
-    if (view.kernel_count() != function_count) {
-      TQUAD_THROW("trace was recorded from a different image (kernel count mismatch)");
-    }
-    std::size_t fed = 0;
-    for (std::size_t b = 0; b < view.block_count(); ++b) {
-      if (interrupt_ != nullptr && *interrupt_ != 0) break;
-      const std::vector<trace::Record> records = view.decode_block(b);
-      feeder.feed(records);
-      fed = b + 1;
-    }
-    if (fed < view.block_count()) {
-      // Interrupted between blocks: the blocks fed so far are a valid
-      // prefix; the last fed record's instruction counts as retired.
-      outcome.status = vm::RunStatus::kInterrupted;
-      outcome.retired = fed == 0 ? 0 : view.block(fed - 1).last_retired + 1;
-    } else {
-      outcome.retired = view.total_retired();
-      // A salvaged stream with losses is an incomplete profile; say so.
-      if (salvage_ && !salvage_report_.clean()) {
-        outcome.status = vm::RunStatus::kTruncated;
-      }
-    }
+  const trace::TraceV2View view =
+      salvage_ ? trace::TraceV2View::salvage(bytes_, &salvage_report_)
+               : trace::TraceV2View::open(bytes_);
+  if (view.kernel_count() != function_count) {
+    TQUAD_THROW("trace was recorded from a different image (kernel count mismatch)");
+  }
+  std::size_t fed = 0;
+  for (std::size_t b = 0; b < view.block_count(); ++b) {
+    if (interrupt_ != nullptr && *interrupt_ != 0) break;
+    feeder.feed(view.decode_block(b));
+    fed = b + 1;
+  }
+  if (fed < view.block_count()) {
+    // Interrupted between blocks: the blocks fed so far are a valid
+    // prefix; the last fed record's instruction counts as retired.
+    outcome.status = vm::RunStatus::kInterrupted;
+    outcome.retired = fed == 0 ? 0 : view.block(fed - 1).last_retired + 1;
   } else {
-    if (salvage_) {
-      TQUAD_THROW("salvage replay supports TQTR v2 traces only");
-    }
-    const trace::Trace trace = trace::Trace::deserialize(bytes_);
-    if (trace.kernel_count != function_count) {
-      TQUAD_THROW("trace was recorded from a different image (kernel count mismatch)");
-    }
-    const std::span<const trace::Record> records(trace.records);
-    constexpr std::size_t kChunk = 65536;  // v1 interrupt granularity
-    std::size_t fed = 0;
-    while (fed < records.size()) {
-      if (interrupt_ != nullptr && *interrupt_ != 0) break;
-      const std::size_t n = std::min(kChunk, records.size() - fed);
-      feeder.feed(records.subspan(fed, n));
-      fed += n;
-    }
-    if (fed < records.size()) {
-      outcome.status = vm::RunStatus::kInterrupted;
-      outcome.retired = fed == 0 ? 0 : records[fed - 1].retired + 1;
-    } else {
-      outcome.retired = trace.total_retired;
+    outcome.retired = view.total_retired();
+    // A salvaged stream with losses is an incomplete profile; say so.
+    if (salvage_ && !salvage_report_.clean()) {
+      outcome.status = vm::RunStatus::kTruncated;
     }
   }
   feeder.finish(outcome);

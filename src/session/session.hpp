@@ -5,7 +5,7 @@
 // guest once — or replays a recorded trace — and feeds any subset of the
 // tools simultaneously through the shared KernelAttribution service:
 //
-//   EventSource (live Engine | TQTR replay)
+//   EventSource (live Engine | TQTR v2 replay)
 //        └─> KernelAttribution (one CallStack, one policy, one classifier)
 //              ├─> tquad::TQuadTool
 //              ├─> quad::QuadTool
@@ -108,10 +108,10 @@ class ProfileSession {
   /// Execute the guest once under live instrumentation.
   vm::RunOutcome run_live(vm::HostEnv& host);
 
-  /// Replay a recorded TQTR byte image (v1 or v2, auto-detected). With
-  /// `salvage`, corrupt or truncated v2 blocks are skipped instead of
-  /// failing the replay (see TraceV2View::salvage); the recovery details
-  /// are in salvage_report() afterwards.
+  /// Replay a recorded TQTR v2 byte image (a version 1 header throws
+  /// tq::Error). With `salvage`, corrupt or truncated blocks are skipped
+  /// instead of failing the replay (see TraceV2View::salvage); the recovery
+  /// details are in salvage_report() afterwards.
   vm::RunOutcome replay(std::span<const std::uint8_t> trace_bytes,
                         bool salvage = false);
 

@@ -65,7 +65,7 @@ void CliParser::parse(int argc, const char* const* argv) {
     }
     auto it = options_.find(name);
     if (it == options_.end()) {
-      TQUAD_THROW("unknown option '" + arg + "'\n" + help());
+      throw UsageError("unknown option '" + arg + "'\n" + help());
     }
     Option& opt = it->second;
     if (opt.kind == Kind::kFlag && !has_inline) {

@@ -2,7 +2,7 @@
 //
 // Mirrors the knob style of Pin tools (`-slice 5000 -ignore_stack ...`):
 // options are declared up front with defaults and help text, then parsed
-// from argv. Unknown options raise tq::Error with a usage string.
+// from argv. Unknown options raise tq::UsageError with a usage string.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,9 @@ class CliParser {
                   const std::string& help);
   void add_double(const std::string& name, double default_value, const std::string& help);
 
-  /// Parse argv (argv[0] is skipped). Throws tq::Error on unknown/ill-typed
-  /// options. Non-option arguments are collected into positional().
+  /// Parse argv (argv[0] is skipped). Throws tq::UsageError on an unknown
+  /// option and tq::Error on an ill-typed or missing value. Non-option
+  /// arguments are collected into positional().
   void parse(int argc, const char* const* argv);
 
   bool flag(const std::string& name) const;

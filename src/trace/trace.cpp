@@ -1,5 +1,6 @@
 #include "trace/trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -7,111 +8,11 @@
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "trace/trace_v2.hpp"
-#include "trace/wire.hpp"
 
 namespace tq::trace {
 
-namespace {
-
-constexpr std::uint32_t kMagic = 0x52545154;  // "TQTR"
-constexpr std::size_t kV1HeaderBytes = 32;
-
-}  // namespace
-
-// ---- Trace serialisation ------------------------------------------------------
-
-void check_encodable(const Record& record, std::uint32_t kernel_count,
-                     const char* format) {
-  const char* why = nullptr;
-  if (static_cast<std::uint8_t>(record.kind) >
-      static_cast<std::uint8_t>(EventKind::kWrite)) {
-    why = "record kind out of range";
-  } else if (record.flags & ~v2_coding::kDefinedFlags) {
-    why = "undefined flag bits are not representable";
-  } else if (record.reserved != 0) {
-    why = "nonzero reserved byte is not representable";
-  } else if (record.kernel != kNoKernel16 && record.kernel >= kernel_count) {
-    why = "record kernel id out of range";
-  }
-  if (why != nullptr) TQUAD_THROW(std::string(format) + ": " + why);
-}
-
-std::vector<std::uint8_t> Trace::serialize() const {
-  for (const Record& record : records) {
-    check_encodable(record, kernel_count, "TQTR v1");
-  }
-  std::vector<std::uint8_t> out;
-  out.reserve(kV1HeaderBytes + records.size() * kRecordDiskBytes);
-  wire::put_u32(out, kMagic);
-  wire::put_u32(out, static_cast<std::uint32_t>(TraceFormat::kV1));
-  wire::put_u32(out, kernel_count);
-  wire::put_u32(out, static_cast<std::uint32_t>(kRecordDiskBytes));
-  wire::put_u64(out, total_retired);
-  wire::put_u64(out, records.size());
-  // Field-by-field, so the disk layout never inherits host struct padding.
-  for (const Record& record : records) {
-    wire::put_u64(out, record.retired);
-    wire::put_u64(out, record.ea);
-    wire::put_u32(out, record.pc);
-    wire::put_u16(out, record.kernel);
-    wire::put_u16(out, record.func);
-    wire::put_u8(out, static_cast<std::uint8_t>(record.kind));
-    wire::put_u8(out, record.size);
-    wire::put_u8(out, record.flags);
-    wire::put_u8(out, record.reserved);  // 0, checked above
-  }
-  return out;
-}
-
 Trace Trace::deserialize(std::span<const std::uint8_t> bytes) {
-  wire::ByteReader header(bytes);
-  if (bytes.size() < 8) TQUAD_THROW("TQTR trace too short for a header");
-  if (header.u32() != kMagic) TQUAD_THROW("not a TQTR trace (bad magic)");
-  const std::uint32_t version = header.u32();
-  if ((version & 0xffffu) == static_cast<std::uint32_t>(TraceFormat::kV2)) {
-    // v2.x (the minor lives in the high half; TraceV2View::open validates it).
-    return TraceV2View::open(bytes).decode_all();
-  }
-  if (version != static_cast<std::uint32_t>(TraceFormat::kV1)) {
-    TQUAD_THROW("unsupported TQTR version");
-  }
-  if (bytes.size() < kV1HeaderBytes) TQUAD_THROW("TQTR trace too short for a header");
-  Trace trace;
-  trace.kernel_count = header.u32();
-  if (header.u32() != kRecordDiskBytes) {
-    TQUAD_THROW("TQTR record size mismatch (incompatible producer)");
-  }
-  trace.total_retired = header.u64();
-  const std::uint64_t count = header.u64();
-  if (count > (bytes.size() - kV1HeaderBytes) / kRecordDiskBytes ||
-      bytes.size() - kV1HeaderBytes != count * kRecordDiskBytes) {
-    TQUAD_THROW("TQTR trace truncated");
-  }
-  wire::ByteReader reader(bytes.subspan(kV1HeaderBytes));
-  trace.records.resize(count);
-  for (Record& record : trace.records) {
-    record.retired = reader.u64();
-    record.ea = reader.u64();
-    record.pc = reader.u32();
-    record.kernel = reader.u16();
-    record.func = reader.u16();
-    const std::uint8_t kind = reader.u8();
-    if (kind > static_cast<std::uint8_t>(EventKind::kWrite)) {
-      TQUAD_THROW("TQTR record with bad kind");
-    }
-    record.kind = static_cast<EventKind>(kind);
-    record.size = reader.u8();
-    record.flags = reader.u8();
-    if (record.flags & ~v2_coding::kDefinedFlags) {
-      TQUAD_THROW("TQTR record with undefined flag bits");
-    }
-    record.reserved = reader.u8();
-    if (record.reserved != 0) TQUAD_THROW("TQTR record reserved byte is not zero");
-    if (record.kernel != kNoKernel16 && record.kernel >= trace.kernel_count) {
-      TQUAD_THROW("TQTR record kernel id out of range");
-    }
-  }
-  return trace;
+  return TraceV2View::open(bytes).decode_all();
 }
 
 // ---- TraceRecorder --------------------------------------------------------------
@@ -119,24 +20,14 @@ Trace Trace::deserialize(std::span<const std::uint8_t> bytes) {
 // Defined before its callers so the always_inline declaration can take effect.
 inline void TraceRecorder::push(const Record& record) {
   last_retired_ = record.retired;
-  ++records_written_;
-  if (writer_) {
-    writer_->add(record);
-  } else {
-    trace_.records.push_back(record);
-  }
+  writer_->add(record);
 }
 
 TraceRecorder::TraceRecorder(const vm::Program& program,
                              tquad::LibraryPolicy /*policy: see header*/,
-                             TraceFormat format) {
-  trace_.kernel_count = static_cast<std::uint32_t>(program.functions().size());
-  if (format == TraceFormat::kV2) {
-    writer_ = std::make_unique<TraceV2Writer>(trace_.kernel_count);
-  } else {
-    trace_.records.reserve(1 << 16);
-  }
-}
+                             TraceFormat /*format: see header*/)
+    : writer_(std::make_unique<TraceV2Writer>(
+          static_cast<std::uint32_t>(program.functions().size()))) {}
 
 TraceRecorder::~TraceRecorder() {
   // Never throw out of a destructor (the recorder may be unwinding with the
@@ -158,11 +49,8 @@ void TraceRecorder::on_finish(const vm::RunOutcome& outcome) {
 void TraceRecorder::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  if (writer_) {
-    encoded_ = writer_->finish(trace_.total_retired);
-    encoded_bytes_ = encoded_.size();
-    blocks_written_ = writer_->block_count();
-  }
+  encoded_ = writer_->finish(total_retired_);
+  encoded_bytes_ = encoded_.size();
 }
 
 // The shared attribution pass already supplies the kernel on top of the
@@ -218,22 +106,10 @@ void TraceRecorder::on_kernel_ret(const session::RetEvent& event) {
 }
 
 void TraceRecorder::on_session_end(std::uint64_t total_retired) {
-  trace_.total_retired = total_retired;
-}
-
-Trace TraceRecorder::take() {
-  TQUAD_CHECK(!writer_, "take() needs a v1 recorder; v2 mode streamed the records");
-  TQUAD_CHECK(!spent_, "recorder is spent");
-  spent_ = true;
-  return std::move(trace_);
+  total_retired_ = total_retired;
 }
 
 std::vector<std::uint8_t> TraceRecorder::take_encoded() {
-  if (!writer_) {
-    std::vector<std::uint8_t> bytes = take().serialize();
-    encoded_bytes_ = bytes.size();
-    return bytes;
-  }
   TQUAD_CHECK(!spent_, "recorder is spent");
   spent_ = true;
   finalize();
@@ -241,24 +117,15 @@ std::vector<std::uint8_t> TraceRecorder::take_encoded() {
 }
 
 void TraceRecorder::publish_metrics(metrics::Registry& registry) const {
-  registry.add("trace.write.records", records_written_);
+  registry.add("trace.write.records", writer_->record_count());
   registry.add("trace.write.bytes", encoded_bytes_);
-  const std::uint64_t raw = records_written_ * kRecordDiskBytes;
+  const std::uint64_t raw = writer_->record_count() * kRecordDiskBytes;
   registry.add("trace.write.raw_bytes", raw);
   if (encoded_bytes_ > 0) {
     registry.set_gauge("trace.write.compression_ratio_x1000",
                        raw * 1000 / encoded_bytes_);
   }
-  registry.add("trace.write.crc_blocks", blocks_written_);
-}
-
-// ---- replay ----------------------------------------------------------------------
-
-void replay(const Trace& trace, TraceSink& sink) {
-  for (const Record& record : trace.records) {
-    sink.on_record(record);
-  }
-  sink.on_end(trace);
+  registry.add("trace.write.crc_blocks", writer_->block_count());
 }
 
 // ---- OfflineBandwidth --------------------------------------------------------------
@@ -272,9 +139,8 @@ OfflineBandwidth::OfflineBandwidth(std::uint32_t kernel_count,
 namespace {
 
 /// Accumulates record spans into per-kernel sample vectors with the same
-/// open-slice logic as the online recorder. feed() may be called repeatedly
-/// (v2 aggregation feeds one decoded block at a time); finish() flushes the
-/// open slices.
+/// open-slice logic as the online recorder. feed() is called once per
+/// decoded block; finish() flushes the open slices.
 class SliceAccumulator {
  public:
   SliceAccumulator(std::size_t kernel_count, std::uint64_t slice_interval)
@@ -336,63 +202,42 @@ void OfflineBandwidth::merge_partial(std::uint32_t kernel,
                                      std::vector<tquad::SliceSample>&& samples) {
   auto& dest = kernels_[kernel];
   for (auto& sample : samples) {
-    max_slice_ = std::max(max_slice_, sample.slice);
-    dest.totals.merge(sample.counters);
     if (!dest.series.empty() && dest.series.back().slice == sample.slice) {
       dest.series.back().counters.merge(sample.counters);  // shard seam
-    } else {
-      TQUAD_DCHECK(dest.series.empty() || dest.series.back().slice < sample.slice,
-                   "trace records out of order");
+    } else if (dest.series.empty() || dest.series.back().slice < sample.slice) {
       dest.series.push_back(sample);
+    } else {
+      // A decodable trace can still run backwards; the series must stay sorted.
+      TQUAD_THROW("TQTR trace records out of order: kernel " +
+                  std::to_string(kernel) + " goes back from slice " +
+                  std::to_string(dest.series.back().slice) + " to " +
+                  std::to_string(sample.slice));
     }
+    max_slice_ = std::max(max_slice_, sample.slice);
+    dest.totals.merge(sample.counters);
   }
 }
 
-void OfflineBandwidth::aggregate(const Trace& trace) {
-  SliceAccumulator acc(kernels_.size(), slice_interval_);
-  acc.feed(trace.records);
-  auto samples = acc.finish();
-  for (std::uint32_t k = 0; k < kernels_.size(); ++k) {
-    merge_partial(k, std::move(samples[k]));
+void OfflineBandwidth::aggregate(const TraceV2View& view, std::size_t block_lo,
+                                 std::size_t block_hi, ThreadPool& pool) {
+  if (block_lo > block_hi || block_hi > view.block_count()) {
+    TQUAD_THROW("TQTR block range [" + std::to_string(block_lo) + ", " +
+                std::to_string(block_hi) + ") is outside the trace's " +
+                std::to_string(view.block_count()) + " blocks");
   }
-}
-
-void OfflineBandwidth::aggregate_parallel(const Trace& trace, ThreadPool& pool) {
-  const std::uint64_t total = trace.records.size();
-  if (total == 0) return;
-  const unsigned blocks =
-      static_cast<unsigned>(std::min<std::uint64_t>(pool.size(), total));
-  std::vector<std::vector<std::vector<tquad::SliceSample>>> partials(blocks);
-  parallel_for_blocks(
-      pool, 0, total,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned block) {
-        SliceAccumulator acc(kernels_.size(), slice_interval_);
-        acc.feed(std::span<const Record>(trace.records.data() + begin, end - begin));
-        partials[block] = acc.finish();
-      });
-  for (unsigned block = 0; block < blocks; ++block) {
-    for (std::uint32_t k = 0; k < kernels_.size(); ++k) {
-      merge_partial(k, std::move(partials[block][k]));
-    }
-  }
-}
-
-void OfflineBandwidth::aggregate_parallel(const TraceV2View& view, ThreadPool& pool) {
-  const std::uint64_t total = view.block_count();
-  if (total == 0) return;
-  const unsigned shards =
-      static_cast<unsigned>(std::min<std::uint64_t>(pool.size(), total));
+  if (block_lo == block_hi) return;
+  const unsigned shards = static_cast<unsigned>(
+      std::min<std::uint64_t>(pool.size(), block_hi - block_lo));
   std::vector<std::vector<std::vector<tquad::SliceSample>>> partials(shards);
   // Pool tasks must not throw; trap decode errors and rethrow on the caller.
   std::vector<std::exception_ptr> errors(shards);
   parallel_for_blocks(
-      pool, 0, total,
+      pool, block_lo, block_hi,
       [&](std::uint64_t begin, std::uint64_t end, unsigned shard) {
         try {
           SliceAccumulator acc(kernels_.size(), slice_interval_);
           for (std::uint64_t b = begin; b < end; ++b) {
-            const std::vector<Record> records = view.decode_block(b);
-            acc.feed(records);
+            acc.feed(view.decode_block(b));
           }
           partials[shard] = acc.finish();
         } catch (...) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "support/check.hpp"
 #include "support/crc32c.hpp"
@@ -46,11 +47,17 @@ std::uint32_t block_crc(std::span<const std::uint8_t> bytes, const BlockInfo& in
 
 }  // namespace
 
-bool is_v2_image(std::span<const std::uint8_t> bytes) noexcept {
-  // Magic "TQTR" then a version word whose low half is major 2 (any minor).
-  return bytes.size() >= 8 && bytes[0] == 'T' && bytes[1] == 'Q' &&
-         bytes[2] == 'T' && bytes[3] == 'R' && bytes[4] == kV2VersionMajor &&
-         bytes[5] == 0;
+void check_v2_magic(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < 8) TQUAD_THROW("TQTR trace too short for a header");
+  wire::ByteReader header(bytes);
+  if (header.u32() != kMagic) TQUAD_THROW("not a TQTR trace (bad magic)");
+  const std::uint32_t version = header.u32();
+  if (version == 1) {
+    TQUAD_THROW("TQTR v1 traces are no longer supported; re-record as v2");
+  }
+  if ((version & 0xffffu) != kV2VersionMajor) {
+    TQUAD_THROW("unsupported TQTR version " + std::to_string(version & 0xffffu));
+  }
 }
 
 // ---- TraceV2Writer ---------------------------------------------------------------
@@ -74,8 +81,19 @@ TraceV2Writer::TraceV2Writer(std::uint32_t kernel_count, std::uint32_t block_cap
 
 void TraceV2Writer::reject(const Record& record) const {
   TQUAD_CHECK(!finished_, "TraceV2Writer reused after finish()");
-  check_encodable(record, kernel_count_, "TQTR v2");
-  TQUAD_CHECK(false, "TraceV2Writer::add rejected an encodable record");
+  const char* why = nullptr;
+  if (static_cast<std::uint8_t>(record.kind) >
+      static_cast<std::uint8_t>(EventKind::kWrite)) {
+    why = "record kind out of range";
+  } else if (record.flags & ~v2_coding::kDefinedFlags) {
+    why = "undefined flag bits are not representable";
+  } else if (record.reserved != 0) {
+    why = "nonzero reserved byte is not representable";
+  } else if (record.kernel != kNoKernel16 && record.kernel >= kernel_count_) {
+    why = "record kernel id out of range";
+  }
+  TQUAD_CHECK(why != nullptr, "TraceV2Writer::add rejected an encodable record");
+  TQUAD_THROW(std::string("TQTR v2: ") + why);
 }
 
 void TraceV2Writer::grow_payload() {
@@ -152,15 +170,12 @@ namespace {
 /// scan). Shared by the strict and salvage open paths — both insist on a
 /// sane file header; nothing is recoverable without one.
 TraceV2View::HeaderFields parse_file_header(std::span<const std::uint8_t> bytes) {
+  check_v2_magic(bytes);
   if (bytes.size() < kV2FileHeaderBytes) {
     TQUAD_THROW("TQTR v2 trace too short for a header");
   }
-  wire::ByteReader header(bytes);
-  if (header.u32() != kMagic) TQUAD_THROW("not a TQTR trace (bad magic)");
+  wire::ByteReader header(bytes.subspan(4));
   const std::uint32_t version = header.u32();
-  if ((version & 0xffffu) != kV2VersionMajor) {
-    TQUAD_THROW("not a TQTR v2 trace");
-  }
   TraceV2View::HeaderFields fields;
   fields.minor = version >> 16;
   if (fields.minor > kV2MinorCrc) {
@@ -453,29 +468,6 @@ Trace TraceV2View::decode_all() const {
     trace.records.insert(trace.records.end(), records.begin(), records.end());
   }
   return trace;
-}
-
-std::size_t TraceV2View::first_block_at(std::uint64_t retired) const {
-  // Blocks are ordered by retired count; find the first whose range can
-  // still contain `retired`.
-  const auto it = std::lower_bound(
-      blocks_.begin(), blocks_.end(), retired,
-      [](const BlockInfo& info, std::uint64_t r) { return info.last_retired < r; });
-  return static_cast<std::size_t>(it - blocks_.begin());
-}
-
-std::uint64_t replay_range(const TraceV2View& view, std::uint64_t lo,
-                           std::uint64_t hi, TraceSink& sink) {
-  std::uint64_t delivered = 0;
-  for (std::size_t b = view.first_block_at(lo); b < view.block_count(); ++b) {
-    if (view.block(b).first_retired >= hi) break;
-    for (const Record& record : view.decode_block(b)) {
-      if (record.retired < lo || record.retired >= hi) continue;
-      sink.on_record(record);
-      ++delivered;
-    }
-  }
-  return delivered;
 }
 
 }  // namespace tq::trace

@@ -1,8 +1,8 @@
-// TQTR v2: block-compressed trace container.
+// TQTR v2: block-compressed trace container, the only trace format.
 //
-// v1 stores 28 bytes per event; at production trace sizes (1e9+ events) that
-// dominates both disk and replay time. v2 groups records into fixed-capacity
-// blocks, each independently decodable:
+// A flat layout (the retired v1 stored 28 bytes per event) dominates both
+// disk and replay time at production trace sizes (1e9+ events). v2 groups
+// records into fixed-capacity blocks, each independently decodable:
 //
 //   * per-block delta/varint coding — `retired`, `ea`, and `pc` as zigzag
 //     deltas (ea keeps one previous-address register per event kind, so read
@@ -12,8 +12,7 @@
 //   * a 32-byte block header carrying first/last retired count, record and
 //     payload byte counts, and an approximate kernel-membership bloom;
 //   * a file-level index of block offsets, so consumers can shard whole
-//     blocks across a ThreadPool or seek to a retired-count range without
-//     decoding the prefix.
+//     blocks across a ThreadPool without decoding the prefix.
 //
 // Layout details in docs/FORMATS.md. Writers stream: TraceV2Writer holds one
 // open block plus the already-encoded bytes, never the full Record array.
@@ -93,9 +92,11 @@ inline std::uint64_t delta_u64(std::uint64_t value, std::uint64_t previous) noex
 
 }  // namespace v2_coding
 
-/// Quick sniff: the image starts like a TQTR file with major version 2 (any
-/// minor — open() rejects minors it cannot decode with a clear error).
-bool is_v2_image(std::span<const std::uint8_t> bytes) noexcept;
+/// Throws tq::Error unless `bytes` start with the TQTR magic and major
+/// version 2 (any minor — open() rejects minors it cannot decode). A version
+/// 1 header, the retired flat format, gets its own one-line message. open()
+/// and salvage() run this first.
+void check_v2_magic(std::span<const std::uint8_t> bytes);
 
 /// Per-block metadata: the on-disk block header plus its file offset.
 struct BlockInfo {
@@ -143,7 +144,7 @@ class TraceV2Writer {
   /// Append one record. Throws tq::Error, writing nothing, for exactly the
   /// records TraceV2View rejects: flag bits outside the defined set, an
   /// out-of-range kind, a nonzero reserved byte, or a kernel id that is
-  /// neither below `kernel_count` nor kNoKernel16 (see check_encodable).
+  /// neither below `kernel_count` nor kNoKernel16.
   /// Forced inline: this is the recorder's per-event path, and at its size
   /// the compiler would otherwise keep it out of line.
   [[gnu::always_inline]] void add(const Record& record);
@@ -251,8 +252,8 @@ class TraceV2View {
   /// by scanning forward from the file header when the trailer index is
   /// missing or unusable (e.g. the write was cut off mid-run). The returned
   /// view exposes only the recovered blocks, so every downstream consumer
-  /// (decode_all, replay, parallel aggregation) works unchanged on the
-  /// recovered subset. Throws tq::Error only when nothing is recoverable
+  /// (decode_all, session replay, offline aggregation) works unchanged on
+  /// the recovered subset. Throws tq::Error only when nothing is recoverable
   /// (bad magic/major version/file header). Details land in `*report` when
   /// non-null.
   static TraceV2View salvage(std::span<const std::uint8_t> bytes,
@@ -272,13 +273,8 @@ class TraceV2View {
   /// kernel bloom, payload byte count).
   std::vector<Record> decode_block(std::size_t i) const;
 
-  /// Decode every block into a flat Trace (the v1-compatible shape).
+  /// Decode every block into a flat Trace.
   Trace decode_all() const;
-
-  /// Index of the first block that may contain records with
-  /// `record.retired >= retired` (blocks are ordered by retired count as
-  /// recorded); block_count() if none.
-  std::size_t first_block_at(std::uint64_t retired) const;
 
   /// Parsed file-header fields (an implementation detail shared between the
   /// strict and salvage open paths).
@@ -306,12 +302,5 @@ class TraceV2View {
   std::uint64_t total_retired_ = 0;
   std::uint64_t record_count_ = 0;
 };
-
-/// Replay only the records with `lo <= record.retired < hi`, using the block
-/// index to skip everything else (no prefix decode). Calls sink.on_record()
-/// per matching record — on_end() is not invoked, as there is no full Trace.
-/// Returns the number of records delivered.
-std::uint64_t replay_range(const TraceV2View& view, std::uint64_t lo,
-                           std::uint64_t hi, TraceSink& sink);
 
 }  // namespace tq::trace

@@ -20,19 +20,10 @@ test -s flat.csv && test -s run.tqtr && test -s out.wav
 grep -q "task clustering" quad.txt
 grep -q "digraph QDU" qdu.dot
 test -s quad.csv
-# Trace formats: default trace is v2 (blocked) and must replay offline with
-# kernel names; an explicit v1 trace replays to the same table.
+# The trace is TQTR v2 and must replay offline with kernel names.
 "$TOOLS/tquad_cli" -replay run.tqtr -image wfs.tqim -slice 2000 > replay_v2.txt
 grep -q "replayed v2 trace" replay_v2.txt
 grep -q "wav_store" replay_v2.txt
-"$TOOLS/tquad_cli" -image wfs.tqim -in in.wav -trace run_v1.tqtr \
-    -trace-format v1 -report flat > /dev/null
-"$TOOLS/tquad_cli" -replay run_v1.tqtr -image wfs.tqim -slice 2000 > replay_v1.txt
-grep -q "replayed v1 trace" replay_v1.txt
-# Same events either way: the per-kernel tables must be identical.
-tail -n +2 replay_v2.txt > table_v2.txt
-tail -n +2 replay_v1.txt > table_v1.txt
-cmp table_v2.txt table_v1.txt
 # quad_cli records traces too.
 "$TOOLS/quad_cli" -image wfs.tqim -in in.wav -trace quad_run.tqtr > /dev/null
 test -s quad_run.tqtr
@@ -79,13 +70,31 @@ expect_exit 0 -- "$TOOLS/tqtr_doctor" verify run.tqtr
 expect_exit 0 -- "$TOOLS/tqtr_doctor" summarize run.tqtr
 expect_exit 0 -- "$TOOLS/tqtr_doctor" repair bad.tqtr -out repaired2.tqtr
 expect_exit 1 -- "$TOOLS/tqtr_doctor" verify bad.tqtr
-expect_exit 1 -- "$TOOLS/tqtr_doctor" verify run_v1.tqtr   # v1: not a v2 file
 expect_exit 1 -- "$TOOLS/tqtr_doctor" verify does_not_exist.tqtr
 expect_exit 2 -- "$TOOLS/tqtr_doctor"
 expect_exit 2 -- "$TOOLS/tqtr_doctor" verify
 expect_exit 2 -- "$TOOLS/tqtr_doctor" verify run.tqtr extra_arg
 expect_exit 2 -- "$TOOLS/tqtr_doctor" frobnicate run.tqtr
 expect_exit 2 -- "$TOOLS/tqtr_doctor" repair bad.tqtr      # repair needs -out
+
+# TQTR v1 is no longer read: a file with a v1 header (magic, version 1,
+# kernel count, record size 28, total retired, zero records) fails every
+# reader with exit 1 and one line naming v1.
+printf 'TQTR\001\000\000\000\003\000\000\000\034\000\000\000' > v1.tqtr
+printf '\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000' >> v1.tqtr
+expect_v1_rejected() {
+  status=0
+  "$@" > /dev/null 2> v1_err.txt || status=$?
+  if [ "$status" -ne 1 ] || [ "$(wc -l < v1_err.txt)" -ne 1 ] ||
+     ! grep -q "TQTR v1 traces are no longer supported" v1_err.txt; then
+    echo "v1 trace not rejected with one line and exit 1 (got $status): $*" >&2
+    cat v1_err.txt >&2
+    exit 1
+  fi
+}
+expect_v1_rejected "$TOOLS/tquad_cli" -replay v1.tqtr -slice 2000
+expect_v1_rejected "$TOOLS/tquad_cli" -replay v1.tqtr -image wfs.tqim -tools tquad
+expect_v1_rejected "$TOOLS/tqtr_doctor" verify v1.tqtr
 
 # Parallel pipeline smoke: same reports and byte-identical trace as the
 # serial run at the top of this script.

@@ -29,6 +29,20 @@ expect_error() {
   fi
 }
 
+# expect_status <want> <stdout-file> -- <command...>
+expect_status() {
+  want="$1"
+  out="$2"
+  shift 3  # drop want, stdout file, and the "--" separator
+  status=0
+  "$@" > "$out" 2> err.txt || status=$?
+  if [ "$status" -ne "$want" ]; then
+    echo "expected exit $want, got $status: $*" >&2
+    cat err.txt >&2
+    exit 1
+  fi
+}
+
 "$TOOLS/wfs_gen" -tiny -image wfs.tqim -wav in.wav
 
 # tquad_cli: interval/period/thread/budget flags must be strictly positive.
@@ -46,8 +60,9 @@ expect_error "unknown -report" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -report bogus
 expect_error "unknown -libs policy" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -libs sometimes
-expect_error "unknown -trace-format" -- \
-    "$TOOLS/tquad_cli" -image wfs.tqim -trace t.tqtr -trace-format v3
+expect_status 2 usage.txt -- \
+    "$TOOLS/tquad_cli" -image wfs.tqim -trace t.tqtr -trace-format v2
+grep -q "unknown option '-trace-format'" err.txt
 expect_error "unknown tool 'bogus'" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -tools bogus
 expect_error "unknown tool ''" -- \
@@ -68,8 +83,9 @@ expect_error "option -budget must be a positive integer (got -1)" -- \
     "$TOOLS/quad_cli" -image wfs.tqim -budget -1
 expect_error "option -clusters must not be negative (got -2)" -- \
     "$TOOLS/quad_cli" -image wfs.tqim -clusters -2
-expect_error "unknown -trace-format" -- \
-    "$TOOLS/quad_cli" -image wfs.tqim -trace t.tqtr -trace-format flat
+expect_status 2 usage.txt -- \
+    "$TOOLS/quad_cli" -image wfs.tqim -trace t.tqtr -trace-format v2
+grep -q "unknown option '-trace-format'" err.txt
 
 # Multi-tool session: one pass produces all three reports plus a trace.
 "$TOOLS/tquad_cli" -image wfs.tqim -in in.wav -tools tquad,quad,gprof \
@@ -91,6 +107,21 @@ sed -n '/== flat profile ==/,/^$/p' multi.txt > flat_live.txt
 sed -n '/== flat profile ==/,/^$/p' replayed.txt > flat_replay.txt
 cmp flat_live.txt flat_replay.txt
 
+# A TQTR v2 trace that decodes cleanly but runs backwards: two kernel-0
+# reads at retired 10000, then 0 (one kernel, 10001 retired). Offline
+# aggregation must stop with a one-line error, not abort.
+python3 - <<'EOF'
+open("backwards.tqtr", "wb").write(bytes.fromhex(
+    '5451545202000100010000000010000011270000000000000200000000000000'
+    '5c00000000000000020000000c00000010270000000000000000000000000000'
+    '010000000000000000f7cd3800000000320000000000b29f9c01000001000000'
+    '28000000000000001027000000000000'))
+EOF
+"$TOOLS/tqtr_doctor" verify backwards.tqtr > /dev/null
+expect_error "trace records out of order" -- \
+    "$TOOLS/tquad_cli" -replay backwards.tqtr -slice 5000
+[ "$(wc -l < err.txt)" -eq 1 ]
+
 # A non-tquad tool subset runs without the bandwidth machinery.
 "$TOOLS/tquad_cli" -image wfs.tqim -in in.wav -tools gprof > gprof_only.txt
 grep -q "retired" gprof_only.txt
@@ -101,20 +132,6 @@ if grep -q "== flat profile ==" gprof_only.txt; then
 fi
 
 # --- exit-code contract: 0 ok/truncated, 1 tool error, 2 usage, 3 guest trap ---
-
-# expect_status <want> <stdout-file> -- <command...>
-expect_status() {
-  want="$1"
-  out="$2"
-  shift 3  # drop want, stdout file, and the "--" separator
-  status=0
-  "$@" > "$out" 2> err.txt || status=$?
-  if [ "$status" -ne "$want" ]; then
-    echo "expected exit $want, got $status: $*" >&2
-    cat err.txt >&2
-    exit 1
-  fi
-}
 
 # Usage errors exit 2.
 expect_status 2 usage.txt -- "$TOOLS/tquad_cli"

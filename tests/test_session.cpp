@@ -3,6 +3,8 @@
 // source's input validation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "session/session.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
@@ -124,10 +126,40 @@ TEST(Session, ReplayRejectsOutOfRangeFunctionIds) {
   record.func = 0;
   record.ea = 0xfff;  // entered function id way out of range
   hostile.records.push_back(record);
-  const auto bytes = hostile.serialize();
+  const auto bytes = trace::serialize_v2(hostile);
 
   ProfileSession session(workload.program);
   EXPECT_THROW(session.replay(bytes), Error);
+}
+
+TEST(Session, ReplayRejectsRecordsThatGoBackInTime) {
+  // Decodes cleanly, but the second access retires before the first.
+  const auto workload = workloads::build_stream(16, 1);
+  trace::Trace backwards;
+  backwards.kernel_count =
+      static_cast<std::uint32_t>(workload.program.functions().size());
+  backwards.total_retired = 10001;
+  trace::Record enter{};
+  enter.kind = trace::EventKind::kEnter;
+  backwards.records.push_back(enter);
+  for (const std::uint64_t retired : {10000u, 0u}) {
+    trace::Record read{};
+    read.retired = retired;
+    read.kind = trace::EventKind::kRead;
+    read.size = 8;
+    read.kernel = 0;
+    backwards.records.push_back(read);
+  }
+  const auto bytes = trace::serialize_v2(backwards);
+
+  ProfileSession session(workload.program);
+  try {
+    (void)session.replay(bytes);
+    ADD_FAILURE() << "replayed records that go back in time";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("out of order"), std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(Session, ReplayEmptyTraceYieldsSilentTicks) {
@@ -138,7 +170,7 @@ TEST(Session, ReplayEmptyTraceYieldsSilentTicks) {
   empty.kernel_count =
       static_cast<std::uint32_t>(workload.program.functions().size());
   empty.total_retired = 5;
-  const auto bytes = empty.serialize();
+  const auto bytes = trace::serialize_v2(empty);
 
   ProfileSession session(workload.program);
   CapturingConsumer capture;
@@ -146,6 +178,36 @@ TEST(Session, ReplayEmptyTraceYieldsSilentTicks) {
   EXPECT_EQ(session.replay(bytes).retired, 5u);
   EXPECT_EQ(capture.ticks.size(), 5u);
   EXPECT_TRUE(capture.accesses.empty());
+}
+
+TEST(Session, ReplayRejectsV1TracesWithOneLine) {
+  // The header of the retired flat v1 format (magic, version 1, kernel
+  // count, record size, total retired, record count) with no records.
+  const auto workload = workloads::build_stream(16, 1);
+  std::vector<std::uint8_t> bytes;
+  auto put = [&](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put(0x52545154, 4);
+  put(1, 4);
+  put(workload.program.functions().size(), 4);
+  put(trace::kRecordDiskBytes, 4);
+  put(5, 8);
+  put(0, 8);
+  for (const bool salvage : {false, true}) {
+    ProfileSession session(workload.program);
+    CapturingConsumer capture;
+    session.add_consumer(capture);
+    try {
+      (void)session.replay(bytes, salvage);
+      ADD_FAILURE() << "replayed a v1 trace (salvage " << salvage << ")";
+    } catch (const Error& err) {
+      const std::string message = err.what();
+      EXPECT_NE(message.find("TQTR v1"), std::string::npos) << message;
+      EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    }
+    EXPECT_TRUE(capture.ticks.empty());
+  }
 }
 
 TEST(Session, AttributionDispatchOrderFollowsAddOrder) {

@@ -1,5 +1,6 @@
 // Replay-vs-live differential for the session layer: a ProfileSession fed
-// from a recorded TQTR trace (v1 or v2) must reproduce the live tool state.
+// from a recorded TQTR v2 trace (at the recorder's block capacity and at a
+// tiny one) must reproduce the live tool state.
 //
 // tQUAD and gprofsim replay exactly. QUAD replays exactly for every counter
 // except the private per-kernel memory-reference count used by the Table III
@@ -13,6 +14,7 @@
 #include "quad/quad_tool.hpp"
 #include "session/session.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_v2.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "wfs/runner.hpp"
 #include "workloads/workloads.hpp"
@@ -118,31 +120,29 @@ void expect_replay_matches_live(const ToolBundle& live, const ToolBundle& replay
 }
 
 void check_program(const vm::Program& program, vm::HostEnv& host) {
-  // Live session: tools plus both recorder formats in one pass.
+  // Live session: tools plus the recorder in one pass.
   ProfileSession live_session(program);
   ToolBundle live(program);
-  trace::TraceRecorder rec_v1(program, tquad::LibraryPolicy::kExclude,
-                              trace::TraceFormat::kV1);
-  trace::TraceRecorder rec_v2(program, tquad::LibraryPolicy::kExclude,
-                              trace::TraceFormat::kV2);
+  trace::TraceRecorder recorder(program);
   live.attach(live_session);
-  live_session.add_consumer(rec_v1);
-  live_session.add_consumer(rec_v2);
+  live_session.add_consumer(recorder);
   const std::uint64_t live_retired = live_session.run_live(host).retired;
 
-  const auto v1_bytes = rec_v1.take_encoded();
-  const auto v2_bytes = rec_v2.take_encoded();
+  const auto v2_bytes = recorder.take_encoded();
+  // The same records in 7-record blocks: instruction groups straddle block
+  // boundaries, which the replay must stitch back together.
+  const auto small_blocks =
+      trace::serialize_v2(trace::Trace::deserialize(v2_bytes), 7);
 
-  for (const auto* bytes : {&v1_bytes, &v2_bytes}) {
+  for (const auto* bytes : {&v2_bytes, &small_blocks}) {
     ProfileSession replay_session(program);
     ToolBundle replayed(program);
-    trace::TraceRecorder re_recorder(program, tquad::LibraryPolicy::kExclude,
-                                     trace::TraceFormat::kV2);
+    trace::TraceRecorder re_recorder(program);
     replayed.attach(replay_session);
     replay_session.add_consumer(re_recorder);
     EXPECT_EQ(replay_session.replay(*bytes).retired, live_retired);
     expect_replay_matches_live(live, replayed);
-    // Round trip: the replay-driven recording equals the live v2 recording.
+    // Round trip: the replay-driven recording equals the live recording.
     EXPECT_EQ(re_recorder.take_encoded(), v2_bytes);
   }
 }

@@ -107,7 +107,7 @@ TEST(CliParser, DefaultsWhenAbsent) {
 TEST(CliParser, UnknownOptionThrows) {
   CliParser cli("test");
   const char* argv[] = {"prog", "-nope"};
-  EXPECT_THROW(cli.parse(2, argv), Error);
+  EXPECT_THROW(cli.parse(2, argv), UsageError);  // the CLIs exit 2
 }
 
 TEST(CliParser, BadIntegerThrows) {

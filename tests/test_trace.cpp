@@ -1,9 +1,11 @@
-// Trace record/replay: equivalence with online analysis, serialisation, and
-// parallel offline aggregation.
+// Trace recording: equivalence with online analysis, decoding, and
+// block-parallel offline aggregation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "gasm/builder.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
@@ -48,11 +50,28 @@ vm::Program make_mixed_program() {
   return prog.build("main");
 }
 
-Trace record_trace(const vm::Program& program) {
+std::vector<std::uint8_t> record_image(const vm::Program& program) {
   vm::HostEnv host;
   TraceRecorder recorder(program);
   testutil::profile_live(program, host, {&recorder});
-  return recorder.take();
+  return recorder.take_encoded();
+}
+
+Trace record_trace(const vm::Program& program) {
+  return Trace::deserialize(record_image(program));
+}
+
+/// Aggregates all of `trace`, encoded at `block_capacity`, on `threads`
+/// workers through the one offline entry.
+OfflineBandwidth aggregate(const Trace& trace, std::uint64_t slice,
+                           unsigned threads = 1,
+                           std::uint32_t block_capacity = kDefaultBlockCapacity) {
+  const auto bytes = serialize_v2(trace, block_capacity);
+  const TraceV2View view = TraceV2View::open(bytes);
+  OfflineBandwidth offline(trace.kernel_count, slice);
+  ThreadPool pool(threads);
+  offline.aggregate(view, 0, view.block_count(), pool);
+  return offline;
 }
 
 void expect_same_bandwidth(const tquad::KernelBandwidth& a,
@@ -106,29 +125,9 @@ TEST(TraceRecorder, StackClassificationMatchesOnlineTool) {
   EXPECT_EQ(global_bytes, 0u);
 }
 
-TEST(TraceSerialization, RoundTrip) {
-  const Trace trace = record_trace(make_mixed_program());
-  const auto bytes = trace.serialize();
-  // v1 records are serialised field-by-field (kRecordDiskBytes each), so the
-  // file is independent of host struct padding.
-  EXPECT_EQ(bytes.size(), 32 + trace.records.size() * kRecordDiskBytes);
-  const Trace back = Trace::deserialize(bytes);
-  EXPECT_EQ(back.total_retired, trace.total_retired);
-  EXPECT_EQ(back.kernel_count, trace.kernel_count);
-  ASSERT_EQ(back.records.size(), trace.records.size());
-  for (std::size_t i = 0; i < trace.records.size(); ++i) {
-    const Record& a = trace.records[i];
-    const Record& b = back.records[i];
-    EXPECT_TRUE(a.retired == b.retired && a.ea == b.ea && a.pc == b.pc &&
-                a.kernel == b.kernel && a.func == b.func && a.kind == b.kind &&
-                a.size == b.size && a.flags == b.flags)
-        << "record " << i;
-  }
-}
-
 TEST(TraceSerialization, RejectsCorruption) {
-  const Trace trace = record_trace(make_mixed_program());
-  auto bytes = trace.serialize();
+  const auto bytes = record_image(make_mixed_program());
+  EXPECT_NO_THROW((void)Trace::deserialize(bytes));
   EXPECT_THROW(Trace::deserialize({bytes.data(), 10}), Error);
   auto bad_magic = bytes;
   bad_magic[0] ^= 0xff;
@@ -138,149 +137,50 @@ TEST(TraceSerialization, RejectsCorruption) {
   EXPECT_THROW(Trace::deserialize(truncated), Error);
 }
 
-TEST(TraceSerialization, RejectsFieldsNoWriterProduces) {
-  // A v1 record's flags byte may only carry the defined kFlag* bits and its
-  // reserved byte must be zero; anything else could not be re-encoded
-  // losslessly (v2 has no bits for it).
-  const Trace trace = record_trace(make_mixed_program());
-  const auto bytes = trace.serialize();
-  ASSERT_GE(trace.records.size(), 3u);
-  const std::size_t record = 32 + 2 * kRecordDiskBytes;  // third record
-  auto bad_flags = bytes;
-  bad_flags[record + 26] |= 0x04;
-  EXPECT_THROW(Trace::deserialize(bad_flags), Error);
-  auto bad_reserved = bytes;
-  bad_reserved[record + 27] = 0x01;
-  EXPECT_THROW(Trace::deserialize(bad_reserved), Error);
-}
-
-/// A v1 image laid out field by field as docs/FORMATS.md describes it, with
-/// no checks, so the decoder's verdict on any record can be asked for.
-std::vector<std::uint8_t> unchecked_v1(const Trace& trace) {
+/// The 32-byte header of the retired flat TQTR v1 format, followed by
+/// `records` zeroed 28-byte records: what an old recorder left on disk.
+std::vector<std::uint8_t> v1_headed_image(std::uint64_t records) {
   std::vector<std::uint8_t> out;
   auto put = [&](std::uint64_t v, int bytes) {
     for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   };
   put(0x52545154, 4);  // "TQTR"
-  put(1, 4);
-  put(trace.kernel_count, 4);
+  put(1, 4);           // version 1
+  put(3, 4);           // kernel count
   put(kRecordDiskBytes, 4);
-  put(trace.total_retired, 8);
-  put(trace.records.size(), 8);
-  for (const Record& r : trace.records) {
-    put(r.retired, 8);
-    put(r.ea, 8);
-    put(r.pc, 4);
-    put(r.kernel, 2);
-    put(r.func, 2);
-    put(static_cast<std::uint8_t>(r.kind), 1);
-    put(r.size, 1);
-    put(r.flags, 1);
-    put(r.reserved, 1);
-  }
+  put(1000, 8);        // total retired
+  put(records, 8);
+  out.resize(out.size() + records * kRecordDiskBytes);
   return out;
 }
 
-TEST(TraceSerialization, WriterRefusesExactlyWhatTheDecoderRejects) {
-  // Every field the decoder checks, drawn both inside and outside its rule:
-  // kind, flag bits, the reserved byte and the kernel id (kNoKernel16 is
-  // valid, every other id must be below kernel_count).
-  constexpr std::uint32_t kKernels = 5;
-  SplitMix64 rng(0x7e57);
-  int accepted = 0;
-  int refused = 0;
-  for (int i = 0; i < 4000; ++i) {
-    Record record{};
-    record.retired = rng.next();
-    record.ea = rng.next();
-    record.pc = static_cast<std::uint32_t>(rng.next());
-    record.func = static_cast<std::uint16_t>(rng.next());
-    record.size = static_cast<std::uint8_t>(rng.next());
-    record.kind = static_cast<EventKind>(rng.next_below(8) == 0 ? rng.next_below(256)
-                                                                : rng.next_below(4));
-    record.flags = static_cast<std::uint8_t>(rng.next_below(8) == 0 ? rng.next_below(256)
-                                                                    : rng.next_below(4));
-    record.reserved = static_cast<std::uint8_t>(rng.next_below(8) == 0 ? rng.next_below(256)
-                                                                       : 0);
-    switch (rng.next_below(4)) {
-      case 0: record.kernel = kNoKernel16; break;
-      case 1: record.kernel = static_cast<std::uint16_t>(rng.next()); break;
-      case 2: record.kernel = static_cast<std::uint16_t>(kKernels + rng.next_below(3)); break;
-      default: record.kernel = static_cast<std::uint16_t>(rng.next_below(kKernels)); break;
+TEST(TraceSerialization, RejectsV1WithOneLine) {
+  for (const std::uint64_t records : {0u, 1u, 5u}) {
+    const auto image = v1_headed_image(records);
+    for (int reader = 0; reader < 3; ++reader) {
+      try {
+        switch (reader) {
+          case 0: (void)Trace::deserialize(image); break;
+          case 1: (void)TraceV2View::open(image); break;
+          case 2: (void)TraceV2View::salvage(image); break;
+        }
+        ADD_FAILURE() << "reader " << reader << " accepted a v1 image";
+      } catch (const Error& err) {
+        const std::string message = err.what();
+        EXPECT_NE(message.find("TQTR v1"), std::string::npos) << message;
+        EXPECT_NE(message.find("no longer supported"), std::string::npos) << message;
+        EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+      }
     }
-    Trace trace;
-    trace.kernel_count = kKernels;
-    trace.total_retired = rng.next();
-    trace.records.push_back(record);
-
-    bool decodes = true;
-    try {
-      (void)Trace::deserialize(unchecked_v1(trace));
-    } catch (const Error&) {
-      decodes = false;
-    }
-    std::vector<std::uint8_t> bytes;
-    bool written = true;
-    try {
-      bytes = trace.serialize();
-    } catch (const Error&) {
-      written = false;
-    }
-    ASSERT_EQ(written, decodes) << "record " << i;
-    if (!written) {
-      ++refused;
-      continue;
-    }
-    ++accepted;
-    const Trace back = Trace::deserialize(bytes);
-    ASSERT_EQ(back.records.size(), 1u);
-    const Record& b = back.records[0];
-    ASSERT_TRUE(record.retired == b.retired && record.ea == b.ea &&
-                record.pc == b.pc && record.kernel == b.kernel &&
-                record.func == b.func && record.kind == b.kind &&
-                record.size == b.size && record.flags == b.flags &&
-                record.reserved == b.reserved)
-        << "record " << i;
   }
-  EXPECT_GT(accepted, 1000);
-  EXPECT_GT(refused, 1000);
 }
 
 TEST(TraceSerialization, DecodedRecordsReencodeLosslessly) {
-  // v1 -> decode -> v1 reproduces the image, and -> v2 -> decode gives the
-  // same records, reserved byte included.
-  const Trace trace = record_trace(make_mixed_program());
-  const auto v1 = trace.serialize();
-  const Trace decoded = Trace::deserialize(v1);
-  EXPECT_EQ(decoded.serialize(), v1);
-  const Trace via_v2 = Trace::deserialize(serialize_v2(decoded));
-  ASSERT_EQ(via_v2.records.size(), decoded.records.size());
-  for (std::size_t i = 0; i < decoded.records.size(); ++i) {
-    const Record& a = decoded.records[i];
-    const Record& b = via_v2.records[i];
-    EXPECT_TRUE(a.retired == b.retired && a.ea == b.ea && a.pc == b.pc &&
-                a.kernel == b.kernel && a.func == b.func && a.kind == b.kind &&
-                a.size == b.size && a.flags == b.flags && a.reserved == b.reserved)
-        << "record " << i;
-  }
-}
-
-TEST(TraceReplay, VisitsEveryRecordInOrder) {
-  const Trace trace = record_trace(make_mixed_program());
-  struct CountingSink : TraceSink {
-    std::size_t count = 0;
-    std::uint64_t last_retired = 0;
-    bool ended = false;
-    void on_record(const Record& record) override {
-      EXPECT_GE(record.retired, last_retired);
-      last_retired = record.retired;
-      ++count;
-    }
-    void on_end(const Trace&) override { ended = true; }
-  } sink;
-  replay(trace, sink);
-  EXPECT_EQ(sink.count, trace.records.size());
-  EXPECT_TRUE(sink.ended);
+  // recorder image -> decode -> serialize_v2 reproduces the image.
+  const auto image = record_image(make_mixed_program());
+  const Trace decoded = Trace::deserialize(image);
+  EXPECT_GT(decoded.records.size(), 1000u);
+  EXPECT_EQ(serialize_v2(decoded), image);
 }
 
 /// The central equivalence property: offline aggregation of a recorded trace
@@ -298,8 +198,7 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
 
   // Offline from a recorded trace.
   const Trace trace = record_trace(program);
-  OfflineBandwidth offline(trace.kernel_count, slice);
-  offline.aggregate(trace);
+  const OfflineBandwidth offline = aggregate(trace, slice);
 
   ASSERT_EQ(offline.kernel_count(), online.kernel_count());
   for (std::uint32_t k = 0; k < online.kernel_count(); ++k) {
@@ -317,8 +216,7 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
   Trace last_trace;
   last_trace.kernel_count = 1;
   last_trace.records.push_back(last);
-  OfflineBandwidth last_offline(1, slice);
-  last_offline.aggregate(last_trace);
+  const OfflineBandwidth last_offline = aggregate(last_trace, slice);
   tquad::BandwidthRecorder last_online(1, slice);
   last_online.on_access(0, last.retired, last.size, /*is_read=*/true,
                         /*is_stack=*/false);
@@ -332,31 +230,77 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
 INSTANTIATE_TEST_SUITE_P(Slices, OfflineEquivalence,
                          ::testing::Values(1, 13, 100, 1000, 1'000'000));
 
-/// Parallel offline aggregation must equal sequential, regardless of pool
-/// size (shard seams merge by addition).
+/// Block-parallel offline aggregation must equal one thread regardless of
+/// pool size (shard seams merge by addition); small blocks put seams inside
+/// slices.
 class ParallelEquivalence : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(ParallelEquivalence, ParallelEqualsSequential) {
+TEST_P(ParallelEquivalence, ParallelEqualsOneThread) {
   const Trace trace = record_trace(make_mixed_program());
-  OfflineBandwidth sequential(trace.kernel_count, 37);
-  sequential.aggregate(trace);
-  OfflineBandwidth parallel(trace.kernel_count, 37);
-  ThreadPool pool(GetParam());
-  parallel.aggregate_parallel(trace, pool);
-  ASSERT_EQ(parallel.max_slice(), sequential.max_slice());
+  const OfflineBandwidth one = aggregate(trace, 37, 1, 64);
+  const OfflineBandwidth parallel = aggregate(trace, 37, GetParam(), 64);
+  ASSERT_EQ(parallel.max_slice(), one.max_slice());
   for (std::uint32_t k = 0; k < trace.kernel_count; ++k) {
-    const auto& a = sequential.kernel(k);
-    const auto& b = parallel.kernel(k);
-    ASSERT_EQ(a.series.size(), b.series.size()) << "kernel " << k;
-    for (std::size_t i = 0; i < a.series.size(); ++i) {
-      EXPECT_EQ(a.series[i].slice, b.series[i].slice);
-      EXPECT_EQ(a.series[i].counters.read_incl, b.series[i].counters.read_incl);
-      EXPECT_EQ(a.series[i].counters.write_incl, b.series[i].counters.write_incl);
-    }
+    SCOPED_TRACE("kernel " + std::to_string(k));
+    expect_same_bandwidth(one.kernel(k), parallel.kernel(k));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Pools, ParallelEquivalence, ::testing::Values(1, 2, 3, 7));
+
+TEST(OfflineBandwidth, BlockRangeMustLieInsideTheTrace) {
+  // Range merging itself is checked on every zoo workload by
+  // test_trace_offline_differential; here, the bounds of the entry.
+  const auto bytes = serialize_v2(record_trace(make_mixed_program()), 50);
+  const TraceV2View view = TraceV2View::open(bytes);
+  const std::size_t blocks = view.block_count();
+  ASSERT_GT(blocks, 2u);
+  ThreadPool pool(2);
+  OfflineBandwidth offline(view.kernel_count(), 37);
+  offline.aggregate(view, 1, 1, pool);  // empty: no-op
+  EXPECT_EQ(offline.max_slice(), 0u);
+  EXPECT_THROW(offline.aggregate(view, 0, blocks + 1, pool), Error);
+  EXPECT_THROW(offline.aggregate(view, 2, 1, pool), Error);
+}
+
+/// Two kernel-0 reads whose retired count runs backwards (10000, then 0):
+/// every v2 check passes, but the slice series would come out unsorted.
+Trace backwards_trace() {
+  Trace trace;
+  trace.kernel_count = 1;
+  trace.total_retired = 10001;
+  for (const std::uint64_t retired : {10000u, 0u}) {
+    Record record{};
+    record.retired = retired;
+    record.kind = EventKind::kRead;
+    record.size = 8;
+    record.kernel = 0;
+    trace.records.push_back(record);
+  }
+  return trace;
+}
+
+TEST(OfflineBandwidth, BackwardsRecordsAreAnErrorNotAnAbort) {
+  const Trace trace = backwards_trace();
+  // One block on one thread, and one record per block across two threads
+  // (the step back then sits on a shard seam).
+  for (const auto& [threads, capacity] :
+       {std::pair{1u, kDefaultBlockCapacity}, std::pair{2u, 1u}}) {
+    const auto bytes = serialize_v2(trace, capacity);
+    EXPECT_NO_THROW((void)Trace::deserialize(bytes));
+    const TraceV2View view = TraceV2View::open(bytes);
+    OfflineBandwidth offline(1, 5000);
+    ThreadPool pool(threads);
+    try {
+      offline.aggregate(view, 0, view.block_count(), pool);
+      ADD_FAILURE() << "aggregated a backwards trace";
+    } catch (const Error& err) {
+      const std::string message = err.what();
+      EXPECT_NE(message.find("out of order"), std::string::npos) << message;
+      EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    }
+  }
+}
 
 TEST(OfflineBandwidth, WfsTraceMatchesOnline) {
   // Integration: the full (tiny) wfs run, online vs offline.
@@ -369,11 +313,12 @@ TEST(OfflineBandwidth, WfsTraceMatchesOnline) {
   wfs::WfsRun trace_run = wfs::prepare_wfs_run(cfg);
   TraceRecorder recorder(trace_run.artifacts.program);
   testutil::profile_live(trace_run.artifacts.program, trace_run.host, {&recorder});
-  const Trace trace = recorder.take();
+  const auto bytes = recorder.take_encoded();
+  const TraceV2View view = TraceV2View::open(bytes);
 
-  OfflineBandwidth offline(trace.kernel_count, 500);
+  OfflineBandwidth offline(view.kernel_count(), 500);
   ThreadPool pool(3);
-  offline.aggregate_parallel(trace, pool);
+  offline.aggregate(view, 0, view.block_count(), pool);
   for (std::uint32_t k = 0; k < online.kernel_count(); ++k) {
     EXPECT_EQ(online.bandwidth().kernel(k).totals.read_incl,
               offline.kernel(k).totals.read_incl)

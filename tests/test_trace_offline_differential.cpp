@@ -1,8 +1,7 @@
 // Differential sweep: for every workload in the zoo registry (wfs included),
-// the online BandwidthRecorder counters, the offline aggregation of a v1
-// trace (sequential and sharded), and the offline aggregation of a v2 trace
-// (sequential decode and block-parallel straight from the encoded bytes)
-// must be bit-exact, slice for slice.
+// the online BandwidthRecorder counters and the offline aggregation of the
+// recorded trace — on one thread, on a pool, and as two block ranges merged
+// into one result — must be bit-exact, slice for slice.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -58,33 +57,30 @@ void check_program(const vm::Program& program, vm::HostEnv& online_host,
 
   TraceRecorder recorder(program);
   testutil::profile_live(program, trace_host, {&recorder});
-  const Trace trace = recorder.take();
+  // Re-encoded at a small capacity so every workload spans several blocks.
+  const auto bytes =
+      serialize_v2(Trace::deserialize(recorder.take_encoded()), kBlockCapacity);
+  const TraceV2View view = TraceV2View::open(bytes);
+  const std::size_t blocks = view.block_count();
+
+  ThreadPool one_thread(1);
+  OfflineBandwidth one(view.kernel_count(), slice);
+  one.aggregate(view, 0, blocks, one_thread);
+  expect_matches_online(online, one, "1 thread");
 
   ThreadPool pool(3);
+  OfflineBandwidth parallel(view.kernel_count(), slice);
+  parallel.aggregate(view, 0, blocks, pool);
+  expect_matches_online(online, parallel, "3 threads");
 
-  OfflineBandwidth v1_seq(trace.kernel_count, slice);
-  v1_seq.aggregate(trace);
-  expect_matches_online(online, v1_seq, "v1 sequential");
-
-  OfflineBandwidth v1_par(trace.kernel_count, slice);
-  v1_par.aggregate_parallel(trace, pool);
-  expect_matches_online(online, v1_par, "v1 sharded");
-
-  const auto v2_bytes = serialize_v2(trace, kBlockCapacity);
-  const Trace v2_trace = Trace::deserialize(v2_bytes);  // auto-detected
-  OfflineBandwidth v2_seq(v2_trace.kernel_count, slice);
-  v2_seq.aggregate(v2_trace);
-  expect_matches_online(online, v2_seq, "v2 sequential");
-
-  const TraceV2View view = TraceV2View::open(v2_bytes);
-  OfflineBandwidth v2_par(view.kernel_count(), slice);
-  v2_par.aggregate_parallel(view, pool);
-  expect_matches_online(online, v2_par, "v2 block-parallel");
+  OfflineBandwidth ranges(view.kernel_count(), slice);
+  ranges.aggregate(view, 0, blocks / 2, pool);
+  ranges.aggregate(view, blocks / 2, blocks, pool);
+  expect_matches_online(online, ranges, "two block ranges");
 
   // All offline variants agree on the timeline length too.
-  EXPECT_EQ(v1_par.max_slice(), v1_seq.max_slice());
-  EXPECT_EQ(v2_seq.max_slice(), v1_seq.max_slice());
-  EXPECT_EQ(v2_par.max_slice(), v1_seq.max_slice());
+  EXPECT_EQ(parallel.max_slice(), one.max_slice());
+  EXPECT_EQ(ranges.max_slice(), one.max_slice());
 }
 
 /// (workload name, slice interval): the zoo cross slice granularities — an

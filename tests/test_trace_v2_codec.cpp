@@ -1,7 +1,7 @@
 // TQTR v2 codec: property-based round-trips over adversarial record
 // streams, byte-exact agreement of the writer with a spec-transcribed
-// reference encoder, streaming-writer/batch-encoder equivalence, block/index
-// structure invariants, and index-driven range replay.
+// reference encoder, streaming-writer/batch-encoder equivalence, and
+// block/index structure invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,7 +206,7 @@ TEST_P(V2RoundTrip, AdversarialStreamsSurviveEncodeDecode) {
     const Trace trace = random_trace(rng, rng.next_below(600));
     for (const std::uint32_t capacity : capacities) {
       const auto bytes = serialize_v2(trace, capacity);
-      // Auto-detected by the shared entry point...
+      // Through the whole-trace entry point...
       expect_records_equal(trace, Trace::deserialize(bytes));
       // ...and block by block through the view.
       const TraceV2View view = TraceV2View::open(bytes);
@@ -344,11 +344,17 @@ vm::Program two_function_program() {
 
 TEST(V2Oracle, StreamingRecorderMatchesReferenceEncoder) {
   // Drive the recorder's session hooks with adversarial events. Its streamed
-  // v2 image must equal the reference encoding of the records a v1 recorder
-  // buffers from the same events.
+  // image must equal the reference encoding of the records the hooks are
+  // documented to write, built here from the same events.
   const vm::Program program = two_function_program();
-  TraceRecorder buffered(program, tquad::LibraryPolicy::kExclude, TraceFormat::kV1);
-  TraceRecorder streamed(program, tquad::LibraryPolicy::kExclude, TraceFormat::kV2);
+  TraceRecorder streamed(program);
+  Trace trace;
+  trace.kernel_count = static_cast<std::uint32_t>(program.functions().size());
+  const auto kernel16 = [](std::uint32_t kernel) {
+    return kernel == tquad::kNoKernel ? kNoKernel16 : static_cast<std::uint16_t>(kernel);
+  };
+  // An enter record carries the retired count of the record before it.
+  std::uint64_t last_retired = 0;
   SplitMix64 rng(99);
   const std::uint32_t kernels[] = {tquad::kNoKernel, 0, 1};
   const std::uint32_t sizes[] = {1, 2, 3, 4, 8, 16, 32, 64, 100, 255};
@@ -371,8 +377,14 @@ TEST(V2Oracle, StreamingRecorderMatchesReferenceEncoder) {
         event.func = func;
         event.kernel = kernel;
         event.retired = retired;
-        buffered.on_kernel_enter(event);
         streamed.on_kernel_enter(event);
+        Record record{};
+        record.retired = last_retired;
+        record.ea = func;
+        record.kernel = kernel16(kernel);
+        record.func = static_cast<std::uint16_t>(func);
+        record.kind = EventKind::kEnter;
+        trace.records.push_back(record);
         break;
       }
       case 1: {
@@ -381,8 +393,15 @@ TEST(V2Oracle, StreamingRecorderMatchesReferenceEncoder) {
         event.pc = pc;
         event.kernel = kernel;
         event.retired = retired;
-        buffered.on_kernel_ret(event);
         streamed.on_kernel_ret(event);
+        Record record{};
+        record.retired = retired;
+        record.pc = pc;
+        record.kernel = kernel16(kernel);
+        record.func = static_cast<std::uint16_t>(func);
+        record.kind = EventKind::kRet;
+        trace.records.push_back(record);
+        last_retired = retired;
         break;
       }
       default: {
@@ -396,15 +415,26 @@ TEST(V2Oracle, StreamingRecorderMatchesReferenceEncoder) {
         event.is_read = rng.next_below(2) == 0;
         event.is_stack = rng.next_below(2) == 0;
         event.is_prefetch = event.is_read && rng.next_below(4) == 0;
-        buffered.on_access(event);
         streamed.on_access(event);
+        Record record{};
+        record.retired = retired;
+        record.ea = event.ea;
+        record.pc = pc;
+        record.kernel = kernel16(kernel);
+        record.func = static_cast<std::uint16_t>(func);
+        record.kind = event.is_read ? EventKind::kRead : EventKind::kWrite;
+        record.size = static_cast<std::uint8_t>(event.size);
+        record.flags = static_cast<std::uint8_t>(
+            (event.is_stack ? kFlagStackArea : 0) |
+            (event.is_prefetch ? kFlagPrefetch : 0));
+        trace.records.push_back(record);
+        last_retired = retired;
         break;
       }
     }
   }
-  buffered.on_session_end(retired);
   streamed.on_session_end(retired);
-  const Trace trace = buffered.take();
+  trace.total_retired = retired;
   ASSERT_EQ(trace.records.size(), static_cast<std::size_t>(kEvents));
   const auto bytes = streamed.take_encoded();
   EXPECT_EQ(first_mismatch(bytes, spec::encode(trace, kDefaultBlockCapacity)), kSame);
@@ -518,23 +548,9 @@ TEST(V2WriterDeathTest, AddAfterFinishFails) {
 
 TEST(TraceRecorderDeathTest, SpentRecorderRefusesASecondTake) {
   const vm::Program program = two_function_program();
-  {
-    TraceRecorder recorder(program, tquad::LibraryPolicy::kExclude, TraceFormat::kV2);
-    EXPECT_FALSE(recorder.take_encoded().empty());
-    EXPECT_DEATH((void)recorder.take_encoded(), "recorder is spent");
-  }
-  {
-    TraceRecorder recorder(program, tquad::LibraryPolicy::kExclude, TraceFormat::kV1);
-    EXPECT_FALSE(recorder.take_encoded().empty());
-    EXPECT_DEATH((void)recorder.take_encoded(), "recorder is spent");
-    EXPECT_DEATH((void)recorder.take(), "recorder is spent");
-  }
-  {
-    TraceRecorder recorder(program);
-    (void)recorder.take();
-    EXPECT_DEATH((void)recorder.take(), "recorder is spent");
-    EXPECT_DEATH((void)recorder.take_encoded(), "recorder is spent");
-  }
+  TraceRecorder recorder(program);
+  EXPECT_FALSE(recorder.take_encoded().empty());
+  EXPECT_DEATH((void)recorder.take_encoded(), "recorder is spent");
 }
 
 TEST(V2RoundTrip, EmptyTrace) {
@@ -575,7 +591,7 @@ TEST(V2RoundTrip, NonzeroReservedIsRejectedAtEncode) {
 
 TEST(V2Writer, StreamingRecorderMatchesBatchEncoder) {
   // The streaming block writer inside TraceRecorder must produce the exact
-  // bytes serialize_v2() produces for the buffered record array.
+  // bytes serialize_v2() produces for the records it wrote.
   ProgramBuilder prog;
   const auto buf = prog.alloc_global("buf", 1024);
   auto& kernel = prog.begin_function("kernel");
@@ -593,74 +609,13 @@ TEST(V2Writer, StreamingRecorderMatchesBatchEncoder) {
   main_fn.halt();
   const vm::Program program = prog.build("main");
 
-  auto run = [&](TraceFormat format) {
-    vm::HostEnv host;
-    TraceRecorder recorder(program, tquad::LibraryPolicy::kExclude, format);
-    testutil::profile_live(program, host, {&recorder});
-    return recorder.take_encoded();
-  };
-  const auto streamed = run(TraceFormat::kV2);
-  const Trace buffered = [&] {
-    vm::HostEnv host;
-    TraceRecorder recorder(program);
-    testutil::profile_live(program, host, {&recorder});
-    return recorder.take();
-  }();
-  EXPECT_GT(buffered.records.size(), 500u);
-  EXPECT_EQ(streamed, serialize_v2(buffered));
-  expect_records_equal(buffered, Trace::deserialize(streamed));
-  // v1 take_encoded() keeps producing the flat format.
-  const auto flat = run(TraceFormat::kV1);
-  expect_records_equal(buffered, Trace::deserialize(flat));
-}
-
-TEST(V2Replay, RangeReplaySkipsThePrefix) {
-  // Monotonic trace with known retired counts: replay_range must deliver
-  // exactly the records in [lo, hi) and agree with a brute-force filter.
-  Trace trace;
-  trace.kernel_count = 4;
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    Record record{};
-    record.retired = i * 3;  // strictly increasing
-    record.ea = 0x1000 + 8 * i;
-    record.pc = static_cast<std::uint32_t>(i % 97);
-    record.kernel = static_cast<std::uint16_t>(i % 4);
-    record.func = record.kernel;
-    record.kind = (i % 2) ? EventKind::kWrite : EventKind::kRead;
-    record.size = 8;
-    trace.records.push_back(record);
-    trace.total_retired = record.retired;
-  }
-  const auto bytes = serialize_v2(trace, 128);
-  const TraceV2View view = TraceV2View::open(bytes);
-
-  struct CollectingSink : TraceSink {
-    std::vector<Record> seen;
-    void on_record(const Record& record) override { seen.push_back(record); }
-  };
-
-  SplitMix64 rng(7);
-  for (int round = 0; round < 50; ++round) {
-    const std::uint64_t lo = rng.next_below(trace.total_retired + 100);
-    const std::uint64_t hi = lo + rng.next_below(trace.total_retired / 2);
-    CollectingSink sink;
-    const std::uint64_t delivered = replay_range(view, lo, hi, sink);
-    std::vector<Record> expected;
-    for (const Record& record : trace.records) {
-      if (record.retired >= lo && record.retired < hi) expected.push_back(record);
-    }
-    ASSERT_EQ(delivered, expected.size()) << "[" << lo << ", " << hi << ")";
-    ASSERT_EQ(sink.seen.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_TRUE(record_eq(sink.seen[i], expected[i])) << "record " << i;
-    }
-  }
-
-  // Seeking past the end touches nothing.
-  CollectingSink sink;
-  EXPECT_EQ(replay_range(view, trace.total_retired + 1, ~0ull, sink), 0u);
-  EXPECT_EQ(view.first_block_at(trace.total_retired + 1), view.block_count());
-  EXPECT_EQ(view.first_block_at(0), 0u);
+  vm::HostEnv host;
+  TraceRecorder recorder(program);
+  testutil::profile_live(program, host, {&recorder});
+  const auto streamed = recorder.take_encoded();
+  const Trace decoded = Trace::deserialize(streamed);
+  EXPECT_GT(decoded.records.size(), 500u);
+  EXPECT_EQ(streamed, serialize_v2(decoded));
 }
 
 TEST(V2Size, CompressesTheMixedProgramTrace) {
@@ -681,11 +636,11 @@ TEST(V2Size, CompressesTheMixedProgramTrace) {
   vm::HostEnv host;
   TraceRecorder recorder(program);
   testutil::profile_live(program, host, {&recorder});
-  const Trace trace = recorder.take();
-  const auto v1 = trace.serialize();
-  const auto v2 = serialize_v2(trace);
-  EXPECT_GT(v1.size(), 3 * v2.size())
-      << "v1 " << v1.size() << " bytes vs v2 " << v2.size();
+  const auto v2 = recorder.take_encoded();
+  // The flat v1 layout: a 32-byte header plus kRecordDiskBytes per record.
+  const std::size_t v1 =
+      32 + Trace::deserialize(v2).records.size() * kRecordDiskBytes;
+  EXPECT_GT(v1, 3 * v2.size()) << "v1 " << v1 << " bytes vs v2 " << v2.size();
 }
 
 }  // namespace

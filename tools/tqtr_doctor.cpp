@@ -134,11 +134,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     const auto bytes = cli::read_file(cli.positional()[1]);
-    if (!trace::is_v2_image(bytes)) {
-      std::fprintf(stderr, "tqtr_doctor: '%s' is not a TQTR v2 file\n",
-                   cli.positional()[1].c_str());
-      return 1;
-    }
+    // Not a v2 file at all (v1 included): one line and exit 1, before any
+    // command reads it as a damaged v2 file.
+    trace::check_v2_magic(bytes);
     if (command == "verify") return verify(bytes);
     if (command == "summarize") return summarize(bytes, cli.integer("blocks"));
     return repair(bytes, cli.str("out"));

@@ -10,7 +10,8 @@
 //
 // Each job is a whole trace (replayed through the full analysis session
 // when -image is given, offline-aggregated otherwise) or, with
-// -shard-blocks, a block range of a v2 trace. Jobs run in separate
+// -shard-blocks, a block range of the trace. Traces are TQTR v2; a v1 file
+// fails its job like any other unreadable trace. Jobs run in separate
 // processes — a crash, hang (watchdog), or RLIMIT_AS blowout loses one
 // attempt, not the farm — and are retried with exponential backoff before
 // being quarantined with their captured stderr. Progress is journaled to
@@ -43,6 +44,7 @@
 #include "support/cli.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
@@ -108,31 +110,30 @@ int run_worker(const CliParser& cli) {
   report.slice_interval = slice;
 
   std::uint64_t records_fed = 0;
-  if (block_hi > block_lo) {
-    // Block-range shard of a v2 trace: decode just [lo, hi) and aggregate
-    // offline. No image needed — records are pre-attributed.
-    report.whole = false;
-    report.block_lo = block_lo;
-    report.block_hi = block_hi;
-    const trace::TraceV2View view = trace::TraceV2View::open(bytes);
-    TQUAD_CHECK(block_hi <= view.block_count(),
-                "-block-hi past the end of the trace");
-    trace::Trace shard;
-    shard.kernel_count = view.kernel_count();
-    for (std::uint64_t b = block_lo; b < block_hi; ++b) {
-      const std::vector<trace::Record> records = view.decode_block(b);
-      shard.records.insert(shard.records.end(), records.begin(), records.end());
-    }
-    records_fed = shard.records.size();
-    report.retired = block_hi == view.block_count()
-                         ? view.total_retired()
-                         : view.block(block_hi - 1).last_retired + 1;
+  // Without an image, a job aggregates a block range offline — records are
+  // pre-attributed — through the same entry as tquad_cli -replay. One
+  // worker thread: the farm's parallelism is its worker processes.
+  const auto aggregate_offline = [&](const trace::TraceV2View& view,
+                                     std::uint64_t lo, std::uint64_t hi) {
+    ThreadPool pool(1);
     trace::OfflineBandwidth offline(view.kernel_count(), slice);
-    offline.aggregate(shard);
+    offline.aggregate(view, lo, hi, pool);
+    for (std::uint64_t b = lo; b < hi; ++b) records_fed += view.block(b).record_count;
     for (std::uint32_t k = 0; k < view.kernel_count(); ++k) {
       report.kernel_names.push_back("k" + std::to_string(k));
       report.kernels.push_back(offline.kernel(k));
     }
+  };
+  if (block_hi > block_lo) {
+    // Block-range shard: decode just [lo, hi).
+    report.whole = false;
+    report.block_lo = block_lo;
+    report.block_hi = block_hi;
+    const trace::TraceV2View view = trace::TraceV2View::open(bytes);
+    aggregate_offline(view, block_lo, block_hi);
+    report.retired = block_hi == view.block_count()
+                         ? view.total_retired()
+                         : view.block(block_hi - 1).last_retired + 1;
   } else if (!cli.str("image").empty()) {
     // Whole trace through the full analysis session: bandwidth plus the
     // QUAD communication counters, with real kernel names.
@@ -155,16 +156,10 @@ int run_worker(const CliParser& cli) {
       report.quad_incl.push_back(quad_counts(quad_tool.including_stack(k)));
     }
   } else {
-    // Whole trace, no image: offline aggregation (v1 or v2, auto-detected).
-    const trace::Trace trace = trace::Trace::deserialize(bytes);
-    records_fed = trace.records.size();
-    report.retired = trace.total_retired;
-    trace::OfflineBandwidth offline(trace.kernel_count, slice);
-    offline.aggregate(trace);
-    for (std::uint32_t k = 0; k < trace.kernel_count; ++k) {
-      report.kernel_names.push_back("k" + std::to_string(k));
-      report.kernels.push_back(offline.kernel(k));
-    }
+    // Whole trace, no image.
+    const trace::TraceV2View view = trace::TraceV2View::open(bytes);
+    aggregate_offline(view, 0, view.block_count());
+    report.retired = view.total_retired();
   }
 
   report.metrics.push_back({"worker.retired", report.retired});
@@ -215,22 +210,19 @@ std::vector<farm::JobSpec> build_jobs(const std::vector<std::string>& traces,
       // quarantine machinery — not the supervisor — owns poison inputs.
       try {
         const std::vector<std::uint8_t> bytes = cli::read_file(path);
-        if (trace::is_v2_image(bytes)) {
-          const trace::TraceV2View view = trace::TraceV2View::open(bytes);
-          if (view.block_count() > shard_blocks) {
-            for (std::uint64_t lo = 0; lo < view.block_count();
-                 lo += shard_blocks) {
-              farm::JobSpec spec;
-              spec.id = static_cast<std::uint32_t>(jobs.size());
-              spec.trace_path = path;
-              spec.whole = false;
-              spec.block_lo = lo;
-              spec.block_hi = std::min<std::uint64_t>(lo + shard_blocks,
-                                                      view.block_count());
-              jobs.push_back(spec);
-            }
-            sharded = true;
+        const trace::TraceV2View view = trace::TraceV2View::open(bytes);
+        if (view.block_count() > shard_blocks) {
+          for (std::uint64_t lo = 0; lo < view.block_count(); lo += shard_blocks) {
+            farm::JobSpec spec;
+            spec.id = static_cast<std::uint32_t>(jobs.size());
+            spec.trace_path = path;
+            spec.whole = false;
+            spec.block_lo = lo;
+            spec.block_hi = std::min<std::uint64_t>(lo + shard_blocks,
+                                                    view.block_count());
+            jobs.push_back(spec);
           }
+          sharded = true;
         }
       } catch (const Error&) {
         // fall through to a whole job
